@@ -76,6 +76,13 @@ func main() {
 
 	parsim.SetDefaultWorkers(*jobs)
 
+	// The signal handler goes in before the listener opens: from the
+	// moment "serving on" is printed a client may SIGTERM us, and a
+	// signal that beat the handler would kill the daemon undrained. A
+	// signal caught during start-up drains as soon as serving begins.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	d, err := ccprofd.New(ccprofd.Options{
 		DataDir:      *dataDir,
 		QueueCap:     *queueCap,
@@ -120,8 +127,6 @@ func main() {
 	}()
 	fmt.Fprintf(os.Stderr, "ccprofd: serving on http://%s (data %s)\n", ln.Addr(), *dataDir)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		if err != nil {

@@ -168,6 +168,7 @@ type daemon struct {
 	cmd    *exec.Cmd
 	url    string
 	stderr *bytes.Buffer
+	eof    chan struct{} // closed once stderr is read to EOF (the process exited)
 }
 
 // startDaemon launches ccprofd on an ephemeral port over dataDir and
@@ -183,7 +184,7 @@ func startDaemon(t *testing.T, dataDir string, extra ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{cmd: cmd, stderr: &bytes.Buffer{}}
+	d := &daemon{cmd: cmd, stderr: &bytes.Buffer{}, eof: make(chan struct{})}
 	t.Cleanup(func() {
 		if cmd.ProcessState == nil {
 			cmd.Process.Kill()
@@ -192,6 +193,7 @@ func startDaemon(t *testing.T, dataDir string, extra ...string) *daemon {
 	})
 	ready := make(chan string, 1)
 	go func() {
+		defer close(d.eof)
 		sc := bufio.NewScanner(pipe)
 		for sc.Scan() {
 			line := sc.Text()
@@ -214,11 +216,17 @@ func startDaemon(t *testing.T, dataDir string, extra ...string) *daemon {
 	return d
 }
 
-// drain SIGTERMs the daemon and asserts a clean (exit 0) drain.
+// drain SIGTERMs the daemon and asserts a clean (exit 0) drain. Its whole
+// stderr is in d.stderr when drain returns.
 func (d *daemon) drain(t *testing.T) {
 	t.Helper()
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-d.eof: // read everything before Wait closes the pipe
+	case <-time.After(60 * time.Second):
+		t.Fatalf("ccprofd still running 60s after SIGTERM; stderr:\n%s", d.stderr)
 	}
 	if err := d.cmd.Wait(); err != nil {
 		t.Fatalf("ccprofd did not drain cleanly: %v; stderr:\n%s", err, d.stderr)
@@ -510,6 +518,20 @@ func TestCCProfdHealth(t *testing.T) {
 		}
 	}
 	d.drain(t)
+}
+
+// TestCCProfdSIGTERMAtReadiness: a SIGTERM that lands the moment the daemon
+// announces its address must still drain cleanly. The handler has to be
+// installed before the listener opens; otherwise the signal's default
+// action kills the daemon undrained.
+func TestCCProfdSIGTERMAtReadiness(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		d := startDaemon(t, t.TempDir())
+		d.drain(t)
+		if !strings.Contains(d.stderr.String(), "drained; no jobs pending") {
+			t.Fatalf("run %d: no clean-drain notice; stderr:\n%s", i, d.stderr)
+		}
+	}
 }
 
 // TestCCProfdExitCodes pins the shared CLI convention on the daemon:

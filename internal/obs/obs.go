@@ -8,7 +8,7 @@
 // perturb what it measures:
 //
 //   - Hot paths never touch the Registry. Per-shard simulation objects (a
-//     cache, a sampler, a batcher) keep counting in plain uint64 fields as
+//     cache, a sampler, an emitter) keep counting in plain uint64 fields as
 //     they always have — shard-local, no atomics, no allocation — and merge
 //     their totals into the Registry once, at reassembly time, through
 //     ObserveInto methods. A merge is a handful of atomic adds per *run*,

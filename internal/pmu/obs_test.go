@@ -76,39 +76,41 @@ func TestSamplerDropsAtMaxSamples(t *testing.T) {
 	}
 }
 
-// instrumentedStream builds the fully instrumented reference path the
-// pipeline runs in production: a trace.Batcher (stream statistics) feeding
-// a Sampler (PMU model over the L1 simulator).
-func instrumentedStream() (*trace.Batcher, *Sampler) {
+// instrumentedStream builds the fully instrumented reference path every
+// workload run takes in production: a trace.Emitter (block staging, stream
+// statistics) feeding a Sampler (PMU model over the L1 simulator) through
+// its fused block path.
+func instrumentedStream() (*trace.Emitter, *Sampler) {
 	s := NewSampler(Config{Geom: mem.L1Default(), Period: Uniform(171), Seed: 3})
-	return trace.NewBatcher(s, 0), s
+	return trace.NewEmitter(s), s
+}
+
+// emit streams refs through the emitter one Ref call at a time, as the
+// workload kernels do, and flushes the final partial block.
+func emit(e *trace.Emitter, refs []trace.Ref) {
+	for _, r := range refs {
+		e.Ref(r)
+	}
+	e.Flush()
 }
 
 // TestInstrumentedStreamZeroAlloc guards the tentpole's acceptance
 // criterion: with observability threaded through the whole stack, the
-// per-reference path — batcher delivery, L1 simulation, sampling — still
-// allocates nothing. Registry merges happen once per run, outside the loop.
+// per-reference path — emitter staging, block delivery, L1 simulation,
+// sampling — still allocates nothing. Registry merges happen once per run,
+// outside the loop.
 func TestInstrumentedStreamZeroAlloc(t *testing.T) {
 	refs := strideRefs(20000)
-	b, s := instrumentedStream()
+	e, s := instrumentedStream()
 	s.Grow(len(refs) * 10) // headroom for every AllocsPerRun repetition
-	allocs := testing.AllocsPerRun(5, func() {
-		for lo := 0; lo < len(refs); lo += 1024 {
-			hi := lo + 1024
-			if hi > len(refs) {
-				hi = len(refs)
-			}
-			b.RefBatch(refs[lo:hi])
-		}
-		b.Flush()
-	})
+	allocs := testing.AllocsPerRun(5, func() { emit(e, refs) })
 	if allocs != 0 {
 		t.Errorf("instrumented stream allocated %.1f times per run, want 0", allocs)
 	}
 	// The merge itself is off the hot path: a handful of registry updates
 	// per run, after the stream ends.
 	reg := obs.New()
-	b.ObserveInto(reg)
+	e.ObserveInto(reg)
 	s.ObserveInto(reg)
 	if reg.Counter("trace.refs_streamed").Load() == 0 || reg.Counter("pmu.refs").Load() == 0 {
 		t.Error("merge lost the stream statistics")
@@ -116,21 +118,21 @@ func TestInstrumentedStreamZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkInstrumentedStream measures the instrumented per-reference path
-// end to end (batcher -> sampler -> L1) including the once-per-run registry
+// end to end (emitter -> sampler -> L1) including the once-per-run registry
 // merge, reporting ns/ref and allocs/op for the 0 allocs/ref guarantee.
 func BenchmarkInstrumentedStream(bm *testing.B) {
 	refs := strideRefs(1 << 16)
-	b, s := instrumentedStream()
+	e, s := instrumentedStream()
 	reg := obs.New()
 	s.Grow(len(refs)) // pre-grown like production sweeps
+	emit(e, refs)     // untimed: the sampler's first block grows it once
 	bm.ReportAllocs()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
 		s.Samples = s.Samples[:0] // reuse the pre-grown buffer
-		b.RefBatch(refs)
-		b.Flush()
+		emit(e, refs)
 	}
-	b.ObserveInto(reg)
+	e.ObserveInto(reg)
 	s.ObserveInto(reg)
 	bm.StopTimer()
 	if s.Refs == 0 {

@@ -6,16 +6,16 @@ import "encoding/binary"
 // Sink.Ref interface call costs one dynamic dispatch per access; the hot
 // consumers (the PMU sampler, the cache simulators) each do trivial work
 // per reference, so dispatch overhead is a real fraction of simulation
-// time. The batch path amortizes it: producers accumulate references in a
-// fixed-size buffer and hand the whole slice to a BatchSink, whose
-// implementation consumes it in a tight loop.
+// time. The batch path amortizes it: a producer holding a slice of
+// references hands the whole slice to a BatchSink, whose implementation
+// consumes it in a tight loop.
 //
 // Compatibility: plain Sinks (including SinkFunc adapters) keep working
-// unchanged — Emit and Batcher fall back to per-reference delivery when
-// the consumer does not implement BatchSink.
+// unchanged — Emit falls back to per-reference delivery when the consumer
+// does not implement BatchSink.
 
-// DefaultBatch is the batch size used when a Batcher is created with
-// size 0: large enough to amortize dispatch, small enough to stay in L1/L2
+// DefaultBatch is the batch size replay loops use when they slice a recorded
+// stream: large enough to amortize dispatch, small enough to stay in L1/L2
 // of the host (4096 refs × 24 bytes ≈ 96 KiB).
 const DefaultBatch = 4096
 
@@ -37,77 +37,6 @@ func Emit(sink Sink, refs []Ref) {
 		sink.Ref(r)
 	}
 }
-
-// Batcher accumulates references and delivers them to Next in fixed-size
-// slices. It implements BatchSink itself, so batchers compose. The caller
-// must Flush after the final reference; Program.Run does this for every
-// workload.
-type Batcher struct {
-	next  Sink
-	batch BatchSink // non-nil when next consumes batches natively
-
-	// Shard-local stream statistics: references delivered and batches
-	// flushed downstream. Plain fields, counted on the producer's own
-	// goroutine, merged into an obs.Registry once per run via ObserveInto
-	// (Program.RunThread does) — the delivery path itself never touches
-	// shared state.
-	refs    uint64
-	flushes uint64
-
-	buf []Ref
-}
-
-// NewBatcher returns a Batcher delivering to next in slices of the given
-// size (0 selects DefaultBatch).
-func NewBatcher(next Sink, size int) *Batcher {
-	if size <= 0 {
-		size = DefaultBatch
-	}
-	b := &Batcher{next: next, buf: make([]Ref, 0, size)}
-	b.batch, _ = next.(BatchSink)
-	return b
-}
-
-// Ref implements Sink: it appends to the current batch, flushing when full.
-func (b *Batcher) Ref(r Ref) {
-	b.buf = append(b.buf, r)
-	if len(b.buf) == cap(b.buf) {
-		b.Flush()
-	}
-}
-
-// RefBatch implements BatchSink: buffered references flush first so stream
-// order is preserved, then the incoming slice is forwarded whole.
-func (b *Batcher) RefBatch(refs []Ref) {
-	b.Flush()
-	b.deliver(refs)
-}
-
-// Flush delivers any buffered references downstream. The buffer is reused
-// afterwards, honoring the BatchSink contract that consumers do not retain
-// the slice.
-func (b *Batcher) Flush() {
-	if len(b.buf) == 0 {
-		return
-	}
-	b.deliver(b.buf)
-	b.buf = b.buf[:0]
-}
-
-func (b *Batcher) deliver(refs []Ref) {
-	b.refs += uint64(len(refs))
-	b.flushes++
-	if b.batch != nil {
-		b.batch.RefBatch(refs)
-		return
-	}
-	for _, r := range refs {
-		b.next.Ref(r)
-	}
-}
-
-// Stats returns the references delivered and batches flushed so far.
-func (b *Batcher) Stats() (refs, flushes uint64) { return b.refs, b.flushes }
 
 // Batch-path implementations for the built-in sinks.
 

@@ -3,6 +3,8 @@ package trace
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func refSeq(n int) []Ref {
@@ -13,53 +15,78 @@ func refSeq(n int) []Ref {
 	return refs
 }
 
-// TestBatcherPreservesStream: the batch path must deliver exactly the
-// per-ref stream, in order, for batch-aware and plain consumers alike,
-// across batch sizes that do and do not divide the stream length.
-func TestBatcherPreservesStream(t *testing.T) {
-	refs := refSeq(1000)
-	for _, size := range []int{1, 7, 100, 1000, 4096} {
-		// Batch-aware consumer.
-		var rec Recorder
-		b := NewBatcher(&rec, size)
-		for _, r := range refs {
-			b.Ref(r)
-		}
-		b.Flush()
-		if !reflect.DeepEqual(rec.Refs, refs) {
-			t.Fatalf("size %d: batch-aware consumer saw a different stream", size)
-		}
+// batchOnly consumes batches but not blocks, so EmitBlock must convert.
+type batchOnly struct{ refs []Ref }
 
-		// Plain SinkFunc consumer (compat shim).
-		var got []Ref
-		b = NewBatcher(SinkFunc(func(r Ref) { got = append(got, r) }), size)
-		for _, r := range refs {
-			b.Ref(r)
+func (b *batchOnly) Ref(r Ref)           { b.refs = append(b.refs, r) }
+func (b *batchOnly) RefBatch(refs []Ref) { b.refs = append(b.refs, refs...) }
+
+// blockLens records the length of every block it receives.
+type blockLens struct {
+	Recorder
+	lens []int
+}
+
+func (b *blockLens) RefBlock(blk *RefBlock) {
+	b.lens = append(b.lens, blk.Len())
+	b.Recorder.RefBlock(blk)
+}
+
+// TestEmitterPreservesStream: the emitter must deliver exactly the per-ref
+// stream, in order, to block, batch-only and plain consumers alike, in
+// full DefaultBlock-sized blocks plus one final partial block, for stream
+// lengths on and off block boundaries.
+func TestEmitterPreservesStream(t *testing.T) {
+	for _, n := range []int{0, 1, DefaultBlock - 1, DefaultBlock, DefaultBlock + 1, 3*DefaultBlock + 7} {
+		refs := refSeq(n)
+		blocks := &blockLens{}
+		batch := &batchOnly{}
+		var plain []Ref
+		for _, sink := range []Sink{blocks, batch, SinkFunc(func(r Ref) { plain = append(plain, r) })} {
+			e := NewEmitter(sink)
+			for _, r := range refs {
+				e.Ref(r)
+			}
+			e.Flush()
+			reg := obs.New()
+			e.ObserveInto(reg)
+			wantFlushes := uint64((n + DefaultBlock - 1) / DefaultBlock)
+			if got := reg.Counter("trace.refs_streamed").Load(); got != uint64(n) {
+				t.Errorf("n=%d %T: refs_streamed = %d", n, sink, got)
+			}
+			if got := reg.Counter("trace.batches_flushed").Load(); got != wantFlushes {
+				t.Errorf("n=%d %T: batches_flushed = %d, want %d", n, sink, got, wantFlushes)
+			}
 		}
-		b.Flush()
-		if !reflect.DeepEqual(got, refs) {
-			t.Fatalf("size %d: SinkFunc consumer saw a different stream", size)
+		for name, got := range map[string][]Ref{"block": blocks.Refs, "batch": batch.refs, "SinkFunc": plain} {
+			if len(got) != n || (n > 0 && !reflect.DeepEqual(got, refs)) {
+				t.Fatalf("n=%d: %s consumer saw a different stream", n, name)
+			}
+		}
+		for i, l := range blocks.lens {
+			if want := min(DefaultBlock, n-i*DefaultBlock); l != want {
+				t.Fatalf("n=%d: block %d has %d refs, want %d", n, i, l, want)
+			}
 		}
 	}
 }
 
-// TestBatcherForwardsBatches: a Batcher receiving batches must flush its
-// own buffer first so ordering survives mixed Ref/RefBatch producers.
-func TestBatcherForwardsBatches(t *testing.T) {
-	var rec Recorder
-	b := NewBatcher(&rec, 16)
-	b.Ref(Ref{IP: 1})
-	b.RefBatch([]Ref{{IP: 2}, {IP: 3}})
-	b.Ref(Ref{IP: 4})
-	b.Flush()
-	want := []uint64{1, 2, 3, 4}
-	if len(rec.Refs) != len(want) {
-		t.Fatalf("got %d refs, want %d", len(rec.Refs), len(want))
+// TestEmitterReset: a rewound emitter forgets buffered references and stream
+// statistics and delivers to its new consumer only.
+func TestEmitterReset(t *testing.T) {
+	var old, cur Recorder
+	e := NewEmitter(&old)
+	e.Ref(Ref{IP: 1})
+	e.Reset(&cur)
+	e.Ref(Ref{IP: 2})
+	e.Flush()
+	if old.Len() != 0 || cur.Len() != 1 || cur.Refs[0].IP != 2 {
+		t.Fatalf("after Reset: old saw %d refs, new saw %v", old.Len(), cur.Refs)
 	}
-	for i, r := range rec.Refs {
-		if r.IP != want[i] {
-			t.Fatalf("ref %d has IP %d, want %d", i, r.IP, want[i])
-		}
+	reg := obs.New()
+	e.ObserveInto(reg)
+	if got := reg.Counter("trace.refs_streamed").Load(); got != 1 {
+		t.Errorf("refs_streamed = %d after Reset, want 1", got)
 	}
 }
 

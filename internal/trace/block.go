@@ -15,9 +15,9 @@ import (
 // sample+classify loops in internal/cache and internal/pmu stay
 // memory-bandwidth-bound instead of dispatch-bound.
 
-// DefaultBlock is the block capacity used when a Pipeline is created with
-// size 0. It matches DefaultBatch: 4096 references ≈ 32 KiB of addresses,
-// resident in L1/L2 while both producer and consumer touch them.
+// DefaultBlock is the Emitter's block capacity. It matches DefaultBatch:
+// 4096 references ≈ 32 KiB of addresses, resident in L1/L2 while both
+// producer and consumer touch them.
 const DefaultBlock = DefaultBatch
 
 // FlagWrite marks a reference as a store in RefBlock.Flags.
@@ -128,103 +128,77 @@ func EmitBlock(sink Sink, b *RefBlock) {
 	}
 }
 
-// Pipeline is the devirtualized producer side of the replay engine: it
-// accumulates references into an owned RefBlock and hands full blocks to a
-// concrete consumer S with one call per block. Composing the pipeline over
-// the concrete sink type (e.g. Pipeline[*pmu.Sampler]) lets the compiler
-// bind the flush target statically — the per-reference producer loop and
-// the per-block fused consumer loops never cross an interface boundary
-// inside a block. Pipeline itself implements BlockSink, so pipelines
-// compose with the rest of the sink algebra.
+// Emitter is the producer side of the replay engine: every workload kernel
+// emits through one, by a statically bound call. Ref stores each reference
+// by index into fixed DefaultBlock-sized struct-of-arrays buffers — no
+// append, no interface call — and each full block goes to the consumer in
+// one EmitBlock call, so block, batch and plain sinks share one staging path
+// and receive the same sequence in the same DefaultBlock-sized pieces.
 //
 // The caller must Flush after the final reference; Program.RunThread does.
-type Pipeline[S BlockSink] struct {
-	// Out is the consumer receiving full blocks.
-	Out S
+// An Emitter is itself a Sink, so code written against Sink (custom
+// workloads, see workloads.NewProgram) can emit into one too.
+type Emitter struct {
+	out Sink
+	n   int // buffered references: ip[:n], addr[:n], flags[:n]
 
-	blk RefBlock
+	ip    [DefaultBlock]uint64
+	addr  [DefaultBlock]uint64
+	flags [DefaultBlock]uint8
+	blk   RefBlock // the view of the buffers handed to out on Flush
 
-	// Shard-local stream statistics, merged once per run via ObserveInto
-	// (same contract as Batcher).
+	// Shard-local stream statistics, merged once per run via ObserveInto:
+	// the delivery path itself never touches shared state.
 	refs    uint64
 	flushes uint64
 }
 
-// NewPipeline returns a Pipeline delivering to out in blocks of the given
-// size (0 selects DefaultBlock).
-func NewPipeline[S BlockSink](out S, size int) *Pipeline[S] {
-	if size <= 0 {
-		size = DefaultBlock
+// NewEmitter returns an Emitter delivering to out.
+func NewEmitter(out Sink) *Emitter {
+	e := new(Emitter)
+	e.Reset(out)
+	return e
+}
+
+// Reset rewinds a pooled Emitter to the state NewEmitter(out) constructs:
+// the consumer is replaced and any buffered references and stream
+// statistics are discarded.
+func (e *Emitter) Reset(out Sink) {
+	e.out = out
+	e.n = 0
+	e.refs, e.flushes = 0, 0
+}
+
+// Ref implements Sink: it stores r at the next free index, flushing first
+// when the block is full.
+func (e *Emitter) Ref(r Ref) {
+	if e.n == DefaultBlock {
+		e.Flush()
 	}
-	p := &Pipeline[S]{Out: out}
-	p.blk = RefBlock{
-		IP:    make([]uint64, 0, size),
-		Addr:  make([]uint64, 0, size),
-		Flags: make([]uint8, 0, size),
+	// The mask is a no-op (n < DefaultBlock here) that lets the compiler
+	// drop the bounds checks.
+	i := e.n & (DefaultBlock - 1)
+	e.ip[i] = r.IP
+	e.addr[i] = r.Addr
+	var fl uint8
+	if r.Write {
+		fl = FlagWrite
 	}
-	return p
+	e.flags[i] = fl
+	e.n = i + 1
 }
 
-// Rebind rewinds a pooled Pipeline to the state NewPipeline(out, size)
-// would construct, keeping its block buffer: the consumer is replaced and
-// the buffered references and stream statistics are discarded.
-func (p *Pipeline[S]) Rebind(out S) {
-	p.Out = out
-	p.blk.Reset()
-	p.refs, p.flushes = 0, 0
-}
-
-// Ref implements Sink: it appends to the current block, flushing when full.
-func (p *Pipeline[S]) Ref(r Ref) {
-	if len(p.blk.Addr) == cap(p.blk.Addr) {
-		p.Flush()
-	}
-	p.blk.Append(r)
-}
-
-// RefBatch implements BatchSink: buffered references flush first so stream
-// order is preserved, then the batch is converted into the block buffer.
-func (p *Pipeline[S]) RefBatch(refs []Ref) {
-	for len(refs) > 0 {
-		n := cap(p.blk.Addr) - len(p.blk.Addr)
-		if n == 0 {
-			p.Flush()
-			continue
-		}
-		if n > len(refs) {
-			n = len(refs)
-		}
-		for i := 0; i < n; i++ {
-			p.blk.Append(refs[i])
-		}
-		refs = refs[n:]
-	}
-}
-
-// RefBlock implements BlockSink: buffered references flush first, then the
-// incoming block is forwarded whole — no copy, no re-batching.
-func (p *Pipeline[S]) RefBlock(b *RefBlock) {
-	p.Flush()
-	p.deliver(b)
-}
-
-// Flush delivers any buffered references downstream and resets the buffer.
-func (p *Pipeline[S]) Flush() {
-	if len(p.blk.Addr) == 0 {
+// Flush delivers any buffered references downstream as one block.
+func (e *Emitter) Flush() {
+	if e.n == 0 {
 		return
 	}
-	p.deliver(&p.blk)
-	p.blk.Reset()
+	e.blk = RefBlock{IP: e.ip[:e.n], Addr: e.addr[:e.n], Flags: e.flags[:e.n]}
+	e.refs += uint64(e.n)
+	e.flushes++
+	EmitBlock(e.out, &e.blk)
+	e.n = 0
 }
-
-func (p *Pipeline[S]) deliver(b *RefBlock) {
-	p.refs += uint64(b.Len())
-	p.flushes++
-	p.Out.RefBlock(b)
-}
-
-// Stats returns the references delivered and blocks flushed so far.
-func (p *Pipeline[S]) Stats() (refs, flushes uint64) { return p.refs, p.flushes }
 
 // Block-path implementations for the built-in sinks, mirroring the batch
 // path: every sink that consumes batches natively consumes blocks natively

@@ -2,20 +2,11 @@ package trace
 
 import "repro/internal/obs"
 
-// ObserveInto merges the batcher's shard-local stream statistics into reg:
+// ObserveInto merges the emitter's shard-local stream statistics into reg:
 // "trace.refs_streamed" (references delivered downstream) and
-// "trace.batches_flushed". Call once when the stream ends; Program.RunThread
-// does this for every workload run that goes through the batch path.
-func (b *Batcher) ObserveInto(reg *obs.Registry) {
-	reg.Counter("trace.refs_streamed").Add(b.refs)
-	reg.Counter("trace.batches_flushed").Add(b.flushes)
-}
-
-// ObserveInto merges the pipeline's shard-local stream statistics into reg,
-// under the same counters as the batch path: a block flush is a batch flush
-// as far as observability is concerned, so totals stay comparable across
-// delivery paths.
-func (p *Pipeline[S]) ObserveInto(reg *obs.Registry) {
-	reg.Counter("trace.refs_streamed").Add(p.refs)
-	reg.Counter("trace.batches_flushed").Add(p.flushes)
+// "trace.batches_flushed" (blocks delivered). Call once when the stream
+// ends; Program.RunThread does this for every workload run.
+func (e *Emitter) ObserveInto(reg *obs.Registry) {
+	reg.Counter("trace.refs_streamed").Add(e.refs)
+	reg.Counter("trace.batches_flushed").Add(e.flushes)
 }

@@ -104,7 +104,7 @@ func adiProgram(n, steps int, pad uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink trace.Sink) {
+		runThread: func(tid, threads int, sink *trace.Emitter) {
 			if tid != 0 {
 				return // sequential case study
 			}

@@ -109,7 +109,7 @@ func fftProgram(n int, pad uint64) *Program {
 
 	// traced performs one in-place forward FFT over the n elements
 	// addressed by at/idx, emitting the memory traffic of each butterfly.
-	traced := func(sink trace.Sink, compute bool, at func(int) uint64, idx func(int) int,
+	traced := func(sink *trace.Emitter, compute bool, at func(int) uint64, idx func(int) int,
 		ldA, ldB, stA, stB uint64) {
 		var vals []complex128
 		if compute {
@@ -142,7 +142,7 @@ func fftProgram(n int, pad uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink trace.Sink) {
+		runThread: func(tid, threads int, sink *trace.Emitter) {
 			compute := threads == 1
 			lo, hi := span(n, tid, threads)
 			for r := lo; r < hi; r++ {

@@ -145,7 +145,7 @@ func himenoProgram(ni, nj, nk, iters int, rowPad, planePad uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink trace.Sink) {
+		runThread: func(tid, threads int, sink *trace.Emitter) {
 			compute := threads == 1
 			var vals *himenoValues
 			if compute {

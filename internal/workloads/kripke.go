@@ -121,7 +121,7 @@ func kripkeProgram(zones, directions, groups int, interchanged bool, rowPad uint
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink trace.Sink) {
+		runThread: func(tid, threads int, sink *trace.Emitter) {
 			compute := threads == 1
 			var psiVals, volVals, wVals []float64
 			if compute {

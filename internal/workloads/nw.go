@@ -156,7 +156,7 @@ func nwProgram(n, tileSize int, padInput, padRef uint64) *Program {
 
 	// processTile emits the traffic of one (bx, by) tile in one phase and
 	// (when compute is set) performs the tile's DP for real.
-	processTile := func(sink trace.Sink, compute bool, bx, by int, inIP, refIP, compIP, wbIP, linIP, lrefIP, lstIP uint64) {
+	processTile := func(sink *trace.Emitter, compute bool, bx, by int, inIP, refIP, compIP, wbIP, linIP, lrefIP, lstIP uint64) {
 		var refVals, inputVals, inLocalVals, refLocalVals []int32
 		if compute {
 			v := vals()
@@ -218,7 +218,7 @@ func nwProgram(n, tileSize int, padInput, padRef uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink trace.Sink) {
+		runThread: func(tid, threads int, sink *trace.Emitter) {
 			compute := threads == 1
 			var inputVals []int32
 			if compute {

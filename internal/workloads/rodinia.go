@@ -43,7 +43,7 @@ func RodiniaSuite() []*Program {
 // wires the emit closure as the (sequential) run function. The builder also
 // hands back the kernel's static access spec (nil to abstain — e.g. when
 // the access pattern is too data-dependent to approximate affinely).
-func simpleKernel(name, file string, build func(b *objfile.Builder, ar *alloc.Arena) (func(sink trace.Sink), *staticconf.Spec)) *Program {
+func simpleKernel(name, file string, build func(b *objfile.Builder, ar *alloc.Arena) (func(sink *trace.Emitter), *staticconf.Spec)) *Program {
 	b := objfile.NewBuilder(name)
 	b.Func("main")
 	ar := alloc.NewArena()
@@ -53,7 +53,7 @@ func simpleKernel(name, file string, build func(b *objfile.Builder, ar *alloc.Ar
 		Binary: b.Finish(),
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink trace.Sink) {
+		runThread: func(tid, threads int, sink *trace.Emitter) {
 			if tid == 0 {
 				run(sink)
 			}
@@ -66,7 +66,7 @@ func simpleKernel(name, file string, build func(b *objfile.Builder, ar *alloc.Ar
 // by a non-power-of-two amount, spreading accesses over all sets.
 func Backprop() *Program {
 	const in, hid = 4096, 17
-	return simpleKernel("backprop", "backprop.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("backprop", "backprop.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("backprop.c", 1) // for j (hidden)
 		b.Loop("backprop.c", 2) // for k (input)
 		ldW := b.Load("backprop.c", 3)
@@ -83,7 +83,7 @@ func Backprop() *Program {
 			acc("input_units", "backprop.c:2", input.At(0), 4, 1, dim(0, hid), dim(4, in+1)),
 			acc("hidden_units", "backprop.c:1", hidden.At(0), 4, 1, dim(4, hid)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for j := 0; j < hid; j++ {
 				for k := 0; k <= in; k++ {
 					sink.Ref(trace.Ref{IP: ldW, Addr: w.At(k, j)})
@@ -100,7 +100,7 @@ func Backprop() *Program {
 // gathers as streams over the target arrays.
 func BFS() *Program {
 	const nodes, degree = 16384, 6
-	return simpleKernel("bfs", "bfs.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("bfs", "bfs.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("bfs.c", 1) // over frontier nodes
 		ldNode := b.Load("bfs.c", 2)
 		b.Loop("bfs.c", 3) // over edges
@@ -120,7 +120,7 @@ func BFS() *Program {
 			accApprox("h_cost", "bfs.c:3", cost.At(0), 4, 1, dim(4, nodes)),
 		)
 		rng := stats.NewRand(101)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for v := 0; v < nodes; v++ {
 				sink.Ref(trace.Ref{IP: ldNode, Addr: graph.At(v)})
 				for e := 0; e < degree; e++ {
@@ -139,7 +139,7 @@ func BFS() *Program {
 // descents as a stream over the node pool with a per-node key scan.
 func BTree() *Program {
 	const levels, fanout, queries = 5, 16, 4000
-	return simpleKernel("b+tree", "btree.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("b+tree", "btree.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("btree.c", 1) // per query
 		b.Loop("btree.c", 2) // per level
 		b.Loop("btree.c", 3) // key scan within node
@@ -161,7 +161,7 @@ func BTree() *Program {
 				dim(nodeBytes, queries*levels), dim(8, fanout/2)),
 		)
 		rng := stats.NewRand(102)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for q := 0; q < queries; q++ {
 				node, base, width := 0, 0, 1
 				for l := 0; l < levels; l++ {
@@ -184,7 +184,7 @@ func BTree() *Program {
 // table. The spec approximates the neighbour gather as a row stream.
 func CFD() *Program {
 	const cells, vars = 8192, 5
-	return simpleKernel("cfd", "euler3d.cpp", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("cfd", "euler3d.cpp", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("euler3d.cpp", 1) // per cell
 		b.Loop("euler3d.cpp", 2) // per neighbour
 		ldNb := b.Load("euler3d.cpp", 3)
@@ -205,7 +205,7 @@ func CFD() *Program {
 			acc("fluxes", "euler3d.cpp:1", fluxes.At(0, 0), 8, 1, dim(int64(fluxes.RowStride()), cells)),
 		)
 		rng := stats.NewRand(103)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for c := 0; c < cells; c++ {
 				for nb := 0; nb < 4; nb++ {
 					sink.Ref(trace.Ref{IP: ldNb, Addr: neighbors.At(c*4 + nb)})
@@ -224,7 +224,7 @@ func CFD() *Program {
 // window slid over image rows (both strides non-power-of-two).
 func Heartwall() *Program {
 	const imgW, imgH, tpl, steps = 609, 590, 41, 300
-	return simpleKernel("heartwall", "heartwall.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("heartwall", "heartwall.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("heartwall.c", 1) // per tracking point
 		b.Loop("heartwall.c", 2) // template row
 		b.Loop("heartwall.c", 3) // template col
@@ -244,7 +244,7 @@ func Heartwall() *Program {
 				dim(0, steps), dim(rsT, tpl), dim(4, tpl)),
 		)
 		rng := stats.NewRand(104)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for s := 0; s < steps; s++ {
 				r0, c0 := rng.Intn(imgH-tpl), rng.Intn(imgW-tpl)
 				for i := 0; i < tpl; i++ {
@@ -262,7 +262,7 @@ func Heartwall() *Program {
 // and power grids — row-major streaming with only three live rows.
 func Hotspot() *Program {
 	const n = 512
-	return simpleKernel("hotspot", "hotspot.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("hotspot", "hotspot.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("hotspot.c", 1) // for r
 		b.Loop("hotspot.c", 2) // for c
 		ldT := b.Load("hotspot.c", 3)
@@ -284,7 +284,7 @@ func Hotspot() *Program {
 			acc("power", "hotspot.c:2", power.At(1, 1), 4, 1, dim(rs, inner), dim(4, inner)),
 			acc("result", "hotspot.c:2", result.At(1, 1), 4, 1, dim(rs, inner), dim(4, inner)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for r := 1; r < n-1; r++ {
 				for c := 1; c < n-1; c++ {
 					for _, addr := range []uint64{
@@ -305,7 +305,7 @@ func Hotspot() *Program {
 // grid (few live planes, streaming k).
 func Hotspot3D() *Program {
 	const nx, ny, nz = 128, 128, 8
-	return simpleKernel("hotspot3D", "3D.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("hotspot3D", "3D.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("3D.c", 1)
 		b.Loop("3D.c", 2)
 		b.Loop("3D.c", 3)
@@ -329,7 +329,7 @@ func Hotspot3D() *Program {
 			point("tIn", tIn.At(1, 1, 0)), point("tIn", tIn.At(1, 1, 2)),
 			point("tOut", tOut.At(1, 1, 1)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for z := 1; z < nz-1; z++ {
 				for y := 1; y < ny-1; y++ {
 					for x := 1; x < nx-1; x++ {
@@ -352,7 +352,7 @@ func Hotspot3D() *Program {
 // every centroid — pure streaming with a cache-resident centroid block.
 func Kmeans() *Program {
 	const points, features, clusters = 4096, 34, 5
-	return simpleKernel("kmeans", "kmeans.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("kmeans", "kmeans.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("kmeans.c", 1) // per point
 		b.Loop("kmeans.c", 2) // per cluster
 		b.Loop("kmeans.c", 3) // per feature
@@ -374,7 +374,7 @@ func Kmeans() *Program {
 				dim(0, points), dim(rsC, clusters), dim(4, features)),
 			acc("membership", "kmeans.c:1", membership.At(0), 4, 1, dim(4, points)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for p := 0; p < points; p++ {
 				for c := 0; c < clusters; c++ {
 					for f := 0; f < features; f++ {
@@ -393,7 +393,7 @@ func Kmeans() *Program {
 // The spec approximates the random neighbour box as a resident block.
 func LavaMD() *Program {
 	const boxes, perBox, neighbors = 64, 100, 8
-	return simpleKernel("lavaMD", "lavaMD.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("lavaMD", "lavaMD.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("lavaMD.c", 1) // per box
 		b.Loop("lavaMD.c", 2) // per neighbour box
 		b.Loop("lavaMD.c", 3) // per home particle
@@ -417,7 +417,7 @@ func LavaMD() *Program {
 				dim(boxBytes, boxes), dim(0, neighbors), dim(64, perBox/4)),
 		)
 		rng := stats.NewRand(105)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for box := 0; box < boxes; box++ {
 				for nb := 0; nb < neighbors; nb++ {
 					remote := rng.Intn(boxes)
@@ -438,7 +438,7 @@ func LavaMD() *Program {
 // variance over small windows of a video frame.
 func Leukocyte() *Program {
 	const imgW, imgH, win, cells = 640, 480, 12, 120
-	return simpleKernel("leukocyte", "find_ellipse.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("leukocyte", "find_ellipse.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("find_ellipse.c", 1) // per cell candidate
 		b.Loop("find_ellipse.c", 2) // window row
 		b.Loop("find_ellipse.c", 3) // window col
@@ -453,7 +453,7 @@ func Leukocyte() *Program {
 				dim(0, cells), dim(0, 10), dim(rs, win), dim(4, win)),
 		)
 		rng := stats.NewRand(106)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for c := 0; c < cells; c++ {
 				r0, c0 := rng.Intn(imgH-win), rng.Intn(imgW-win)
 				for rep := 0; rep < 10; rep++ {
@@ -473,7 +473,7 @@ func Leukocyte() *Program {
 // stride across sets instead of colliding.
 func LUD() *Program {
 	const n = 250
-	return simpleKernel("lud", "lud.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("lud", "lud.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("lud.c", 1) // for k
 		b.Loop("lud.c", 2) // for i > k
 		ldPivot := b.Load("lud.c", 3)
@@ -494,7 +494,7 @@ func LUD() *Program {
 			accApprox("m", "lud.c:4", m.At(1, 1), 4, 1,
 				dim(0, kIters), dim(rs, n-1), dim(3*4, jIters)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for k := 0; k < n-1; k += 5 { // sample pivots to bound the trace
 				for i := k + 1; i < n; i++ {
 					sink.Ref(trace.Ref{IP: ldPivot, Addr: m.At(i, k)})
@@ -512,7 +512,7 @@ func LUD() *Program {
 // — a tiny, cache-resident working set.
 func Myocyte() *Program {
 	const states, steps = 106, 3000
-	return simpleKernel("myocyte", "myocyte.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("myocyte", "myocyte.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("myocyte.c", 1) // per timestep
 		b.Loop("myocyte.c", 2) // per state
 		ldY := b.Load("myocyte.c", 3)
@@ -525,7 +525,7 @@ func Myocyte() *Program {
 			acc("y", "myocyte.c:2", y.At(0), 8, 2, dim(0, steps), dim(8, states)),
 			acc("dy", "myocyte.c:2", dy.At(0), 8, 2, dim(0, steps), dim(8, states)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for t := 0; t < steps; t++ {
 				for s := 0; s < states; s++ {
 					sink.Ref(trace.Ref{IP: ldY, Addr: y.At(s)})
@@ -540,7 +540,7 @@ func Myocyte() *Program {
 // nearest neighbours — pure streaming.
 func NN() *Program {
 	const records = 65536
-	return simpleKernel("nn", "nn.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("nn", "nn.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("nn.c", 1)
 		ldLat := b.Load("nn.c", 2)
 		ldLng := b.Load("nn.c", 2)
@@ -549,7 +549,7 @@ func NN() *Program {
 		sp := spec("nn",
 			acc("locations", "nn.c:1", recs.At(0), 8, 1, dim(8, records)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for r := 0; r < records; r++ {
 				sink.Ref(trace.Ref{IP: ldLat, Addr: recs.At(r)})
 				sink.Ref(trace.Ref{IP: ldLng, Addr: recs.At(r) + 4})
@@ -562,7 +562,7 @@ func NN() *Program {
 // particle arrays plus a resampling gather (approximated as a stream).
 func ParticleFilter() *Program {
 	const particles, frames = 8192, 8
-	return simpleKernel("particlefilter", "ex_particle.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("particlefilter", "ex_particle.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("ex_particle.c", 1) // per frame
 		b.Loop("ex_particle.c", 2) // weight update pass
 		ldX := b.Load("ex_particle.c", 3)
@@ -581,7 +581,7 @@ func ParticleFilter() *Program {
 			accApprox("arrayX", "ex_particle.c:6", xs.At(0), 8, 1, dim(0, frames), dim(8, particles)),
 		)
 		rng := stats.NewRand(107)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for f := 0; f < frames; f++ {
 				for p := 0; p < particles; p++ {
 					sink.Ref(trace.Ref{IP: ldX, Addr: xs.At(p)})
@@ -600,7 +600,7 @@ func ParticleFilter() *Program {
 // with only two rows live.
 func Pathfinder() *Program {
 	const cols, rows = 100000, 8
-	return simpleKernel("pathfinder", "pathfinder.cpp", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("pathfinder", "pathfinder.cpp", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("pathfinder.cpp", 1) // per row
 		b.Loop("pathfinder.cpp", 2) // per column
 		ldWall := b.Load("pathfinder.cpp", 3)
@@ -617,7 +617,7 @@ func Pathfinder() *Program {
 			acc("src", "pathfinder.cpp:2", src.At(0), 4, 1, dim(0, rows-1), dim(4, cols)),
 			acc("dst", "pathfinder.cpp:2", dst.At(1), 4, 1, dim(0, rows-1), dim(4, cols-2)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for r := 1; r < rows; r++ {
 				for c := 1; c < cols-1; c++ {
 					sink.Ref(trace.Ref{IP: ldWall, Addr: wall.At(r, c)})
@@ -635,7 +635,7 @@ func Pathfinder() *Program {
 // 4-neighbour stencil over a non-power-of-two image.
 func SRAD() *Program {
 	const rows, cols = 458, 502
-	return simpleKernel("srad", "srad.c", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("srad", "srad.c", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("srad.c", 1)
 		b.Loop("srad.c", 2)
 		ldJ := b.Load("srad.c", 3)
@@ -655,7 +655,7 @@ func SRAD() *Program {
 			point("J", img.At(1, 0)), point("J", img.At(1, 2)),
 			point("c", coef.At(1, 1)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for i := 1; i < rows-1; i++ {
 				for j := 1; j < cols-1; j++ {
 					for _, addr := range []uint64{
@@ -675,7 +675,7 @@ func SRAD() *Program {
 // medians in a 32-dimensional space, streaming over the point block.
 func Streamcluster() *Program {
 	const points, ndim, medians = 4096, 32, 16
-	return simpleKernel("streamcluster", "streamcluster.cpp", func(b *objfile.Builder, ar *alloc.Arena) (func(trace.Sink), *staticconf.Spec) {
+	return simpleKernel("streamcluster", "streamcluster.cpp", func(b *objfile.Builder, ar *alloc.Arena) (func(*trace.Emitter), *staticconf.Spec) {
 		b.Loop("streamcluster.cpp", 1) // per point
 		b.Loop("streamcluster.cpp", 2) // per median
 		b.Loop("streamcluster.cpp", 3) // per dimension
@@ -696,7 +696,7 @@ func Streamcluster() *Program {
 			acc("medians", "streamcluster.cpp:3", meds.At(0, 0), 4, 3,
 				dim(0, points), dim(rsM, medians), dim(4, ndim)),
 		)
-		return func(sink trace.Sink) {
+		return func(sink *trace.Emitter) {
 			for p := 0; p < points; p++ {
 				for m := 0; m < medians; m++ {
 					for d := 0; d < ndim; d++ {

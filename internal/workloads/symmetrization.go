@@ -83,7 +83,7 @@ func symmetrizationProgram(n, reps int, pad uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink trace.Sink) {
+		runThread: func(tid, threads int, sink *trace.Emitter) {
 			compute := threads == 1
 			lo, hi := span(n, tid, threads)
 			for r := 0; r < reps; r++ {

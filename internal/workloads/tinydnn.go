@@ -102,7 +102,7 @@ func tinyDNNProgram(in, out, batches int, pad uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink trace.Sink) {
+		runThread: func(tid, threads int, sink *trace.Emitter) {
 			compute := threads == 1
 			var wVals, inVals, aVals []float32
 			if compute {

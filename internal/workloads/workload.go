@@ -62,8 +62,10 @@ type Program struct {
 	Spec *staticconf.Spec
 
 	// runThread emits the references of one thread's partition of the
-	// work. Sequential kernels emit everything on thread 0.
-	runThread func(tid, threads int, sink trace.Sink)
+	// work. Sequential kernels emit everything on thread 0. Kernels call
+	// sink.Ref on the concrete emitter, so every reference is a statically
+	// bound store into the emitter's current block.
+	runThread func(tid, threads int, sink *trace.Emitter)
 
 	// Check, when non-nil, returns a checksum of the kernel's computed
 	// output after a sequential Run. The kernels compute their real
@@ -76,19 +78,22 @@ type Program struct {
 // NewProgram assembles a Program from its parts. run receives the thread id
 // and thread count and must emit that thread's partition of the work; it is
 // how user code (see examples/custom-workload) plugs its own kernels into
-// the profiler.
+// the profiler. The sink run receives is the thread's trace.Emitter, behind
+// the Sink interface, so user kernels pay one dynamic call per reference
+// where the built-in kernels bind the emitter statically.
 func NewProgram(name string, bin *objfile.Binary, ar *alloc.Arena,
 	run func(tid, threads int, sink trace.Sink)) *Program {
 	if bin == nil || ar == nil || run == nil {
 		panic("workloads: NewProgram with nil component")
 	}
-	return &Program{Name: name, Binary: bin, Arena: ar, runThread: run}
+	return &Program{Name: name, Binary: bin, Arena: ar,
+		runThread: func(tid, threads int, sink *trace.Emitter) { run(tid, threads, sink) }}
 }
 
-// pipePool recycles staging pipelines across RunThread calls. A pipeline
-// holds only its block buffer between uses; Rebind discards any buffered
+// emitters recycles staging emitters across RunThread calls. An emitter
+// holds only its block buffers between uses; Reset discards any buffered
 // state, so pooling is invisible to the delivered stream.
-var pipePool parsim.Pool[*trace.Pipeline[trace.BlockSink]]
+var emitters = parsim.Pool[*trace.Emitter]{New: func() *trace.Emitter { return trace.NewEmitter(nil) }}
 
 // Run emits the full sequential reference stream.
 func (p *Program) Run(sink trace.Sink) { p.RunThread(0, 1, sink) }
@@ -97,14 +102,14 @@ func (p *Program) Run(sink trace.Sink) { p.RunThread(0, 1, sink) }
 // Threads partition the kernel's outermost parallel dimension; a thread
 // with no work emits nothing.
 //
-// When sink consumes struct-of-arrays blocks (trace.BlockSink), the
-// references are staged through a trace.Pipeline and delivered in fixed-size
-// RefBlocks — the replay fast path: one dispatch per block, and the
-// consumer's fused loop classifies the whole block in one pass. Sinks that
-// only consume batches (trace.BatchSink) are staged through a trace.Batcher
-// as before. Plain sinks (including trace.SinkFunc adapters) receive the
-// unchanged per-ref stream; on every path the delivered sequence is
-// identical.
+// The kernel writes into a pooled trace.Emitter, which hands sink the
+// stream in fixed-size struct-of-arrays blocks through trace.EmitBlock:
+// block sinks (the replay fast path) take each block in one call, batch
+// sinks get it as a []trace.Ref, and plain sinks (including trace.SinkFunc
+// adapters) get one Ref call per reference. The delivered sequence is the
+// same on every path; references reach sink a block at a time, after the
+// kernel has moved on, never interleaved with its execution. The run's
+// stream statistics merge into obs.Default once, at the end.
 func (p *Program) RunThread(tid, threads int, sink trace.Sink) {
 	if threads < 1 {
 		threads = 1
@@ -112,26 +117,13 @@ func (p *Program) RunThread(tid, threads int, sink trace.Sink) {
 	if tid < 0 || tid >= threads {
 		panic(fmt.Sprintf("workloads: thread %d out of range [0,%d)", tid, threads))
 	}
-	switch s := sink.(type) {
-	case trace.BlockSink:
-		pl := pipePool.Get()
-		if pl == nil {
-			pl = trace.NewPipeline[trace.BlockSink](s, 0)
-		} else {
-			pl.Rebind(s)
-		}
-		p.runThread(tid, threads, pl)
-		pl.Flush()
-		pl.ObserveInto(obs.Default)
-		pipePool.Put(pl)
-	case trace.BatchSink:
-		b := trace.NewBatcher(s, 0)
-		p.runThread(tid, threads, b)
-		b.Flush()
-		b.ObserveInto(obs.Default)
-	default:
-		p.runThread(tid, threads, sink)
-	}
+	e := emitters.Get()
+	e.Reset(sink)
+	p.runThread(tid, threads, e)
+	e.Flush()
+	e.ObserveInto(obs.Default)
+	e.Reset(nil) // drop the sink reference while pooled
+	emitters.Put(e)
 }
 
 // Record runs the program sequentially into a Recorder and returns it.

@@ -227,3 +227,22 @@ func TestDeterministicEmission(t *testing.T) {
 		}
 	}
 }
+
+// TestRunThreadZeroAlloc guards the production emission path: once a
+// program is warm (values materialized, an emitter pooled), a RunThread
+// allocates nothing per run, whether the sink takes blocks or single
+// references.
+func TestRunThreadZeroAlloc(t *testing.T) {
+	p := NewADI(64, 1).Original
+	var blocks trace.Counter
+	var refs uint64
+	plain := trace.SinkFunc(func(trace.Ref) { refs++ })
+	for _, sink := range []trace.Sink{&blocks, plain} {
+		if allocs := testing.AllocsPerRun(10, func() { p.RunThread(0, 1, sink) }); allocs != 0 {
+			t.Errorf("RunThread into %T allocated %.1f times per run, want 0", sink, allocs)
+		}
+	}
+	if blocks.Total() == 0 || refs != blocks.Total() {
+		t.Errorf("block sink saw %d refs, SinkFunc %d", blocks.Total(), refs)
+	}
+}
