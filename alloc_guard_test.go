@@ -8,9 +8,12 @@ package ccprof
 // visible in wall-clock noise.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/advisor"
+	"repro/internal/core"
+	"repro/internal/pmu"
 	"repro/internal/workloads"
 )
 
@@ -46,4 +49,60 @@ func TestRecommendPadAllocBudget(t *testing.T) {
 		t.Fatalf("RecommendPad sweep allocated %.0f objects/run, budget %d", allocs, budget)
 	}
 	t.Logf("RecommendPad sweep: %.0f allocs/run (budget %d)", allocs, budget)
+}
+
+// TestAnalyzeAllocBudget pins the offline phase's allocations to the
+// profile's shape, not its length: with warm pools, ReadProfile+Analyze
+// of a profile whose samples are repeated 10x must allocate no more
+// objects than the original profile plus a small constant. A per-sample
+// allocation anywhere in decoding or attribution (a per-sample
+// binary.Read costs two) overshoots the budget by tens of thousands.
+func TestAnalyzeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is not meaningful under -short race/cover runs")
+	}
+	cs, err := workloads.Get("nw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cs.Original
+	prof, err := core.ProfileProgram(p, core.ProfileOptions{
+		Period: pmu.Uniform(cs.ProfilePeriod), Seed: 42, Threads: 2, NoTime: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := *prof
+	long.Samples = make([][]pmu.Sample, len(prof.Samples))
+	for tid, s := range prof.Samples {
+		for range 10 {
+			long.Samples[tid] = append(long.Samples[tid], s...)
+		}
+	}
+	allocs := func(saved *core.Profile) float64 {
+		var buf bytes.Buffer
+		if _, err := saved.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		run := func() {
+			prof, err := core.ReadProfile(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.Analyze(prof, p.Binary, p.Arena, core.AnalyzeOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pools
+		return testing.AllocsPerRun(5, run)
+	}
+	short, repeated := allocs(prof), allocs(&long)
+	const slack = 32
+	if repeated > short+slack {
+		t.Fatalf("ReadProfile+Analyze of %d samples allocated %.0f objects/run, of 10x the samples %.0f (budget %.0f)",
+			prof.SampleCount(), short, repeated, short+slack)
+	}
+	t.Logf("ReadProfile+Analyze: %.0f allocs/run for %d samples, %.0f for 10x (budget %.0f)",
+		short, prof.SampleCount(), repeated, short+slack)
 }

@@ -11,6 +11,7 @@ package ccprof
 // numbers recorded in EXPERIMENTS.md (cmd/experiments does the same).
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"runtime/debug"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/analytic"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/pmu"
@@ -494,6 +496,75 @@ func BenchmarkStreamingProfile(b *testing.B) {
 			b.ReportMetric(float64(times*blk.Len()), "refs/op")
 		})
 	}
+}
+
+// savedProfile is a profile as `ccprof -profile-out` writes it, with the
+// program whose binary and arena analyze it.
+type savedProfile struct {
+	prog *workloads.Program
+	data []byte
+}
+
+// saveCaseStudyProfiles profiles both variants of every case study at
+// default scale and its recommended period, and returns the serialized
+// profiles with their total sample count.
+func saveCaseStudyProfiles(tb testing.TB) ([]savedProfile, int) {
+	var saved []savedProfile
+	samples := 0
+	for _, name := range workloads.Names() {
+		cs, err := workloads.Get(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, p := range []*workloads.Program{cs.Original, cs.Optimized} {
+			prof, err := core.ProfileProgram(p, core.ProfileOptions{
+				Period: pmu.Uniform(cs.ProfilePeriod), Seed: 42, NoTime: true,
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := prof.WriteTo(&buf); err != nil {
+				tb.Fatal(err)
+			}
+			saved = append(saved, savedProfile{p, buf.Bytes()})
+			samples += prof.SampleCount()
+		}
+	}
+	return saved, samples
+}
+
+// BenchmarkAnalyzeProfile measures the offline phase as `ccprof -analyze`
+// runs it — ReadProfile, Analyze, WriteReport — over saved profiles of both
+// variants of every case study. One op analyzes each profile once;
+// ns/sample is the per-sample cost of the three stages together, and
+// -benchmem reports the allocations of a whole pass.
+func BenchmarkAnalyzeProfile(b *testing.B) {
+	saved, samples := saveCaseStudyProfiles(b)
+	var report bytes.Buffer
+	pass := func() {
+		for _, sp := range saved {
+			prof, err := core.ReadProfile(bytes.NewReader(sp.data))
+			if err != nil {
+				b.Fatal(err)
+			}
+			an, err := core.Analyze(prof, sp.prog.Binary, sp.prog.Arena, core.AnalyzeOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			report.Reset()
+			if err := core.WriteReport(&report, an); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // warm the pools
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+	b.ReportMetric(float64(samples), "samples/op")
 }
 
 // BenchmarkFusedSweep is the Rodinia Figure 7 sweep on the fused block path

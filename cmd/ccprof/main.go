@@ -211,6 +211,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		// The program's binary and arena attribute the samples, so they
+		// must be the ones the profile was recorded from.
+		if prof.Workload != prog.Name {
+			fatal(fmt.Errorf("%s is a profile of %s, but the workload argument and -variant select %s",
+				*analyzeIn, prof.Workload, prog.Name))
+		}
 	} else {
 		p := *period
 		if p == 0 {

@@ -136,23 +136,43 @@ type loopState struct {
 	trackers []*rcd.CPTracker // one per thread
 }
 
-// attrState is Analyze's reusable attribution state: the by-context maps
-// that every call fills and drains. Pooling them keeps their buckets warm
-// across a sweep, where consecutive analyses see the same loop and data
-// structure names.
+// codeSlot is one instruction's attribution: the index in Binary.Funcs of
+// its function (-1 for none), its innermost loop (nil for none), and the
+// arena block its latest sample fell in — the first guess for its next,
+// since an instruction's samples nearly always stay in one array.
+type codeSlot struct {
+	fn    int32
+	block int32
+	loop  *cfg.Loop
+}
+
+// attrState is Analyze's reusable attribution state. Every per-sample
+// count lives in a slice indexed by something the sample's lookup already
+// produced — an instruction slot, a loop ID, an arena block index, a
+// Binary.Funcs index — and finish folds them by name. Pooling keeps the
+// slices' capacity across a sweep.
 type attrState struct {
-	byLoop      map[*cfg.Loop]*loopState
-	dataSamples map[string]int
-	dataShort   map[string]int
-	funcSamples map[string]int
-	funcShort   map[string]int
+	// code is the per-instruction attribution table of the analyzed
+	// binary, indexed by (ip - Instrs[0].Addr) / objfile.InstrSize.
+	code []codeSlot
+
+	// loops holds each sampled loop's state by cfg.Loop.ID (nil until its
+	// first sample); active lists the same states in first-sample order,
+	// for burst breaks and finish.
+	loops  []*loopState
+	active []*loopState
+
+	// Sample and short-RCD counts by arena block index and by Binary.Funcs
+	// index.
+	dataSamples, dataShort []int
+	funcSamples, funcShort []int
 
 	// unattributed counts samples whose IP matched no recovered loop.
 	unattributed int
 
 	// states is a free list of loopState values: every state ever built by
 	// this attrState, reused in order. Entries are individually allocated so
-	// pointers held by byLoop stay stable as the list grows.
+	// pointers held by loops stay stable as the list grows.
 	states []*loopState
 	used   int
 
@@ -160,22 +180,17 @@ type attrState struct {
 	globals []*rcd.CPTracker
 }
 
-func newAttrState() *attrState {
-	return &attrState{
-		byLoop:      make(map[*cfg.Loop]*loopState),
-		dataSamples: make(map[string]int),
-		dataShort:   make(map[string]int),
-		funcSamples: make(map[string]int),
-		funcShort:   make(map[string]int),
+// zeroed returns s resized to n entries, all zero, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (at *attrState) clear() {
-	clear(at.byLoop)
-	clear(at.dataSamples)
-	clear(at.dataShort)
-	clear(at.funcSamples)
-	clear(at.funcShort)
 	at.unattributed = 0
 	for _, st := range at.states[:at.used] {
 		st.loop = nil
@@ -184,6 +199,7 @@ func (at *attrState) clear() {
 		}
 	}
 	at.used = 0
+	at.active = at.active[:0]
 	for i := range at.globals {
 		at.globals[i] = nil
 	}
@@ -228,7 +244,8 @@ func cmpString(a, b string) int {
 // cpPool recycles conflict-period trackers across Analyze calls. Analyze
 // builds one tracker per thread per sampled loop context; a sweep analyzing
 // hundreds of profiles against the same cache geometry reuses the same
-// trackers (and their dense histogram banks) instead of reallocating them.
+// trackers (and their per-set arrays and histograms) instead of
+// reallocating them.
 // Every tracker taken from the pool is Reset before use.
 var cpPool parsim.Pool[*rcd.CPTracker]
 

@@ -2,6 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -342,6 +347,36 @@ func TestReadProfileBadInput(t *testing.T) {
 	}
 }
 
+// craftedProfile is a 96-byte profile: magic, empty workload name, a
+// 64/64/8 geometry, one thread whose count claims claim samples, and no
+// samples.
+func craftedProfile(claim uint64) []byte {
+	b := []byte("CCP2\x00\x00\x00\x00")
+	for _, v := range []uint64{64, 64, 8, 0, 0, 0, 0, 0, 0, 1, claim} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// TestReadProfileClaimBounded feeds ReadProfile headers that claim far
+// more samples than the file holds: it must report the truncation, not
+// allocate what the header claims.
+func TestReadProfileClaimBounded(t *testing.T) {
+	for _, claim := range []uint64{1 << 24, 1 << 32} {
+		data := craftedProfile(claim)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadProfile(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "reading profile") {
+			t.Errorf("claim %d: err = %v, want a profile read error wrapping io.ErrUnexpectedEOF", claim, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("claim %d: reading a %d-byte profile allocated %d bytes", claim, len(data), n)
+		}
+	}
+}
+
 func TestAnalysisEndToEndTinyDNN(t *testing.T) {
 	cs := workloads.NewTinyDNN(128, 1024, 1)
 	_, an := profileAndAnalyze(t, cs.Original, 171)
@@ -356,13 +391,6 @@ func TestAnalysisEndToEndTinyDNN(t *testing.T) {
 	if anOpt.Conflict {
 		t.Errorf("padded tinydnn flagged (cf=%.3f)", anOpt.CF)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestAnalyzeFunctionRollup(t *testing.T) {

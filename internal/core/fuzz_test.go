@@ -31,6 +31,7 @@ func FuzzReadProfile(f *testing.F) {
 		corrupt[15] ^= 0xff
 	}
 	f.Add(corrupt)
+	f.Add(craftedProfile(1 << 32))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadProfile(bytes.NewReader(data))

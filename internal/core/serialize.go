@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,86 +20,101 @@ var profileMagic = [4]byte{'C', 'C', 'P', '2'}
 
 var errBadProfile = errors.New("core: not a CCProf profile (bad magic)")
 
+// Samples move in bounded chunks: WriteTo encodes and ReadProfile decodes
+// sampleChunk samples (16 bytes each: IP then Addr) per Write or ReadFull,
+// with binary.LittleEndian on the bytes.
+const (
+	sampleBytes = 16
+	sampleChunk = 4096
+)
+
+// maxSamplePrealloc caps how many samples ReadProfile allocates for a
+// thread once its first chunk has arrived. Past it a thread's slice grows
+// only as samples are actually read (doubling, never past the claimed
+// count), so a short file cannot make the reader allocate what its header
+// claims, yet every thread of up to maxSamplePrealloc samples lands in one
+// exact allocation.
+const maxSamplePrealloc = 1 << 15
+
 // WriteTo serializes the profile. It returns the number of bytes written.
 func (p *Profile) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(data any) error {
-		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-			return err
-		}
-		n += int64(binary.Size(data))
-		return nil
-	}
-	if _, err := bw.Write(profileMagic[:]); err != nil {
-		return n, err
-	}
-	n += 4
-	name := []byte(p.Workload)
-	if err := write(uint32(len(name))); err != nil {
-		return n, err
-	}
-	if _, err := bw.Write(name); err != nil {
-		return n, err
-	}
-	n += int64(len(name))
-	hdr := []uint64{
+	le := binary.LittleEndian
+	buf := make([]byte, 0, sampleChunk*sampleBytes)
+	buf = append(buf, profileMagic[:]...)
+	buf = le.AppendUint32(buf, uint32(len(p.Workload)))
+	buf = append(buf, p.Workload...)
+	for _, v := range [...]uint64{
 		uint64(p.Geom.LineSize), uint64(p.Geom.Sets), uint64(p.Geom.Ways),
 		math.Float64bits(p.PeriodMean),
 		p.Events, p.Refs,
 		uint64(p.BaselineNs), uint64(p.ProfiledNs),
 		uint64(p.Burst),
 		uint64(len(p.Samples)),
+	} {
+		buf = le.AppendUint64(buf, v)
 	}
-	for _, v := range hdr {
-		if err := write(v); err != nil {
-			return n, err
-		}
-	}
+	var n int64
 	for _, thread := range p.Samples {
-		if err := write(uint64(len(thread))); err != nil {
-			return n, err
-		}
+		buf = le.AppendUint64(buf, uint64(len(thread)))
 		for _, sm := range thread {
-			if err := write(sm.IP); err != nil {
-				return n, err
+			if len(buf)+sampleBytes > cap(buf) {
+				m, err := w.Write(buf)
+				n += int64(m)
+				if err != nil {
+					return n, err
+				}
+				buf = buf[:0]
 			}
-			if err := write(sm.Addr); err != nil {
-				return n, err
-			}
+			buf = le.AppendUint64(buf, sm.IP)
+			buf = le.AppendUint64(buf, sm.Addr)
 		}
 	}
-	return n, bw.Flush()
+	m, err := w.Write(buf)
+	return n + int64(m), err
 }
 
-// ReadProfile deserializes a profile written by WriteTo.
+// readPart reads exactly len(b) bytes of the named part of a profile. The
+// header promised those bytes, so running out is io.ErrUnexpectedEOF even
+// when none of them arrived.
+func readPart(r io.Reader, b []byte, part string) error {
+	if _, err := io.ReadFull(r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("core: reading profile %s: %w", part, err)
+	}
+	return nil
+}
+
+// ReadProfile deserializes a profile written by WriteTo. Allocation grows
+// with the bytes actually read, not with the counts a header claims.
 func ReadProfile(r io.Reader) (*Profile, error) {
-	br := bufio.NewReader(r)
+	le := binary.LittleEndian
 	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: reading profile header: %w", err)
 	}
 	if magic != profileMagic {
 		return nil, errBadProfile
 	}
-	read := func(data any) error { return binary.Read(br, binary.LittleEndian, data) }
-
-	var nameLen uint32
-	if err := read(&nameLen); err != nil {
+	buf := make([]byte, 80)
+	if err := readPart(r, buf[:4], "name length"); err != nil {
 		return nil, err
 	}
+	nameLen := le.Uint32(buf)
 	if nameLen > 1<<20 {
 		return nil, fmt.Errorf("core: implausible workload name length %d", nameLen)
 	}
 	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
+	if err := readPart(r, name, "workload name"); err != nil {
+		return nil, err
+	}
+	if err := readPart(r, buf[:80], "header"); err != nil {
 		return nil, err
 	}
 	var hdr [10]uint64
 	for i := range hdr {
-		if err := read(&hdr[i]); err != nil {
-			return nil, err
-		}
+		hdr[i] = le.Uint64(buf[8*i:])
 	}
 	geom, err := mem.NewGeometry(int(hdr[0]), int(hdr[1]), int(hdr[2]))
 	if err != nil {
@@ -119,25 +133,39 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 		BaselineNs: int64(hdr[6]),
 		ProfiledNs: int64(hdr[7]),
 		Burst:      int(hdr[8]),
-		Samples:    make([][]pmu.Sample, threads),
+		Samples:    make([][]pmu.Sample, 0, min(threads, 64)),
 	}
-	for t := range p.Samples {
-		var count uint64
-		if err := read(&count); err != nil {
+	for range threads {
+		if err := readPart(r, buf[:8], "sample count"); err != nil {
 			return nil, err
 		}
+		count := le.Uint64(buf)
 		if count > 1<<32 {
 			return nil, fmt.Errorf("core: implausible sample count %d", count)
 		}
-		p.Samples[t] = make([]pmu.Sample, count)
-		for i := range p.Samples[t] {
-			if err := read(&p.Samples[t][i].IP); err != nil {
+		s := make([]pmu.Sample, 0)
+		for left := count; left > 0; {
+			k := int(min(left, sampleChunk))
+			if cap(buf) < k*sampleBytes {
+				buf = make([]byte, k*sampleBytes)
+			}
+			b := buf[:k*sampleBytes]
+			if err := readPart(r, b, "samples"); err != nil {
 				return nil, err
 			}
-			if err := read(&p.Samples[t][i].Addr); err != nil {
-				return nil, err
+			if len(s)+k > cap(s) {
+				// The first chunk sizes the slice from the claim, up to
+				// maxSamplePrealloc; later growth doubles, never past it.
+				grown := make([]pmu.Sample, len(s), min(count, max(maxSamplePrealloc, 2*uint64(cap(s)))))
+				copy(grown, s)
+				s = grown
 			}
+			for i := 0; i < len(b); i += sampleBytes {
+				s = append(s, pmu.Sample{IP: le.Uint64(b[i:]), Addr: le.Uint64(b[i+8:])})
+			}
+			left -= uint64(k)
 		}
+		p.Samples = append(p.Samples, s)
 	}
 	return p, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -29,8 +30,10 @@ import (
 //
 // Memory is O(contexts x threads x sets): the whole-program and per-loop
 // CP trackers (per-set last-miss state plus fixed-bucket histograms) and
-// the attribution count maps. Nothing grows with the number of samples, so
-// an arbitrarily long trace — or a live stream — analyzes at fixed memory.
+// the attribution count slices, sized by the binary's instructions, loops
+// and functions and the arena's blocks. Nothing grows with the number of
+// samples, so an arbitrarily long trace — or a live stream — analyzes at
+// fixed memory.
 
 // streamState is the analyzer's incremental state: everything Analyze used
 // to keep across its per-sample loop, owned by one analysis (buffered or
@@ -42,6 +45,7 @@ type streamState struct {
 	threads int
 
 	bin    *objfile.Binary
+	base   uint64 // address of the binary's first instruction
 	arena  *alloc.Arena
 	graph  *cfg.Graph
 	forest *cfg.Forest
@@ -51,9 +55,10 @@ type streamState struct {
 	si      []int // per-thread sample index, the burst-boundary phase
 }
 
-// newStreamState recovers the loop forest from the binary and prepares
-// pooled attribution state for threads sample streams. opts are resolved
-// with withDefaults; burst < 2 disables burst-boundary breaks.
+// newStreamState recovers the loop forest from the binary, builds the
+// per-instruction attribution table and prepares pooled attribution state
+// for threads sample streams. opts are resolved with withDefaults; burst <
+// 2 disables burst-boundary breaks.
 func newStreamState(bin *objfile.Binary, arena *alloc.Arena, geom mem.Geometry, threads, burst int, opts AnalyzeOptions) (*streamState, error) {
 	o := opts.withDefaults()
 	graph := graphPool.Get()
@@ -64,10 +69,28 @@ func newStreamState(bin *objfile.Binary, arena *alloc.Arena, geom mem.Geometry, 
 		graphPool.Put(graph)
 		return nil, fmt.Errorf("core: recovering CFG: %w", err)
 	}
+	forest := graph.FindLoops()
 	at := attrPool.Get()
 	if at == nil {
-		at = newAttrState()
+		at = &attrState{}
 	}
+	// Rebuild validated the binary: its instructions are contiguous at
+	// InstrSize spacing, so slot i holds the instruction at base+i*InstrSize.
+	base := bin.Instrs[0].Addr
+	at.code = zeroed(at.code, len(bin.Instrs))
+	for i := range at.code {
+		addr := base + uint64(i)*objfile.InstrSize
+		at.code[i] = codeSlot{fn: int32(bin.FuncIndex(addr)), loop: forest.InnermostAt(addr)}
+	}
+	at.loops = zeroed(at.loops, len(forest.Loops))
+	at.funcSamples = zeroed(at.funcSamples, len(bin.Funcs))
+	at.funcShort = zeroed(at.funcShort, len(bin.Funcs))
+	var blocks int
+	if arena != nil {
+		blocks = len(arena.Blocks())
+	}
+	at.dataSamples = zeroed(at.dataSamples, blocks)
+	at.dataShort = zeroed(at.dataShort, blocks)
 	if cap(at.globals) < threads {
 		at.globals = make([]*rcd.CPTracker, threads)
 	}
@@ -82,66 +105,127 @@ func newStreamState(bin *objfile.Binary, arena *alloc.Arena, geom mem.Geometry, 
 		burst:   burst,
 		threads: threads,
 		bin:     bin,
+		base:    base,
 		arena:   arena,
 		graph:   graph,
-		forest:  graph.FindLoops(),
+		forest:  forest,
 		at:      at,
 		globals: globals,
 		si:      make([]int, threads),
 	}, nil
 }
 
-// sample feeds one sample of thread t's stream through the analyzer: the
-// former per-sample body of Analyze, verbatim. Samples of one thread must
-// arrive in stream order; threads may interleave arbitrarily (see
-// StreamAnalyzer for why that cannot change the result). Not safe for
-// concurrent use — callers serialize.
+// slot returns the instruction-table entry of ip, or nil when ip is not
+// an instruction address: outside the text, or between instructions
+// (traces ingested from perf script JSONL carry arbitrary IPs).
+func (ss *streamState) slot(ip uint64) *codeSlot {
+	if off := ip - ss.base; off%objfile.InstrSize == 0 && off/objfile.InstrSize < uint64(len(ss.at.code)) {
+		return &ss.at.code[off/objfile.InstrSize]
+	}
+	return nil
+}
+
+// code returns the Binary.Funcs index (-1 for none) and innermost loop
+// (nil for none) of ip, whose table entry is c: FuncIndex and
+// InnermostAt, asked directly only when ip has no entry.
+func (ss *streamState) code(c *codeSlot, ip uint64) (int, *cfg.Loop) {
+	if c != nil {
+		return int(c.fn), c.loop
+	}
+	return ss.bin.FuncIndex(ip), ss.forest.InnermostAt(ip)
+}
+
+// block returns the index of the arena block containing addr, or -1,
+// trying first the block of the latest sample of c's instruction (when
+// ip has an entry). Blocks never overlap, so a block containing addr is
+// the one Arena.Find would return.
+func block(blocks []alloc.Block, c *codeSlot, addr uint64) int {
+	if c != nil {
+		if g := int(c.block); g < len(blocks) && blocks[g].Contains(addr) {
+			return g
+		}
+	}
+	b := blockIndex(blocks, addr)
+	if c != nil && b >= 0 {
+		c.block = int32(b)
+	}
+	return b
+}
+
+// blockIndex returns the index of the arena block containing addr, or -1,
+// by Arena.Find's rule: the first block ending past addr, if it contains
+// addr.
+func blockIndex(blocks []alloc.Block, addr uint64) int {
+	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].End() > addr })
+	if i < len(blocks) && blocks[i].Contains(addr) {
+		return i
+	}
+	return -1
+}
+
+// sample feeds one sample of thread t's stream through the analyzer.
+// Samples of one thread must arrive in stream order; threads may
+// interleave arbitrarily (see StreamAnalyzer for why that cannot change
+// the result). Not safe for concurrent use — callers serialize.
 func (ss *streamState) sample(t int, sm pmu.Sample) {
+	at := ss.at
 	// Bursty sampling: only within-burst sample distances are exact miss
 	// distances, so break every tracker's sequence at each burst boundary.
 	// The boundary is a function of the thread's own sample index, so it
 	// falls on the same samples however threads interleave.
 	if ss.burst > 1 && ss.si[t]%ss.burst == 0 {
 		ss.globals[t].BreakSequence()
-		for _, st := range ss.at.byLoop {
+		for _, st := range at.active {
 			st.trackers[t].BreakSequence()
 		}
 	}
 	ss.si[t]++
 	set := ss.geom.Set(sm.Addr)
 	d := ss.globals[t].Observe(set)
+	short := d != rcd.NoPrior && d <= ss.o.Threshold
 
-	// Data-centric attribution.
+	// The instruction's table entry (nil when the IP has none) serves the
+	// data, function and loop lookups below.
+	c := ss.slot(sm.IP)
+
+	// Data-centric attribution. The arena may still be growing while a
+	// streamed workload runs, so the counts grow with it.
 	if ss.arena != nil {
-		if blk, ok := ss.arena.Find(sm.Addr); ok {
-			ss.at.dataSamples[blk.Name]++
-			if d != rcd.NoPrior && d <= ss.o.Threshold {
-				ss.at.dataShort[blk.Name]++
+		blocks := ss.arena.Blocks()
+		if b := block(blocks, c, sm.Addr); b >= 0 {
+			if b >= len(at.dataSamples) {
+				at.dataSamples = append(at.dataSamples, make([]int, len(blocks)-len(at.dataSamples))...)
+				at.dataShort = append(at.dataShort, make([]int, len(blocks)-len(at.dataShort))...)
+			}
+			at.dataSamples[b]++
+			if short {
+				at.dataShort[b]++
 			}
 		}
 	}
 
 	// Function-level rollup.
-	if fn, ok := ss.bin.FuncFor(sm.IP); ok {
-		ss.at.funcSamples[fn.Name]++
-		if d != rcd.NoPrior && d <= ss.o.Threshold {
-			ss.at.funcShort[fn.Name]++
+	fn, loop := ss.code(c, sm.IP)
+	if fn >= 0 {
+		at.funcSamples[fn]++
+		if short {
+			at.funcShort[fn]++
 		}
 	}
 
 	// Code-centric attribution.
-	loop := ss.forest.InnermostAt(sm.IP)
 	if loop == nil {
-		ss.at.unattributed++
+		at.unattributed++
 		return
 	}
-	st := ss.at.byLoop[loop]
+	st := at.loops[loop.ID]
 	if st == nil {
-		st = ss.at.takeLoopState(loop, ss.threads)
+		st = at.takeLoopState(loop, ss.threads)
 		for i := range st.trackers {
 			st.trackers[i] = getCP(ss.geom.Sets)
 		}
-		ss.at.byLoop[loop] = st
+		at.loops[loop.ID] = st
+		at.active = append(at.active, st)
 	}
 	st.samples++
 	st.trackers[t].Observe(set)
@@ -177,8 +261,8 @@ func (ss *streamState) finish(workload string) *Analysis {
 	an.Conflict = an.TotalSamples >= o.MinLoopSamples && o.Model.Predict(an.CF)
 
 	// Per-loop reports.
-	an.Loops = make([]LoopReport, 0, len(at.byLoop))
-	for _, st := range at.byLoop {
+	an.Loops = make([]LoopReport, 0, len(at.active))
+	for _, st := range at.active {
 		pooled := poolTrackers(st.trackers, o.Threshold)
 		rep := LoopReport{
 			Loop:         st.loop.Name(),
@@ -205,14 +289,34 @@ func (ss *streamState) finish(workload string) *Analysis {
 	for _, cp := range ss.globals {
 		cpPool.Put(cp)
 	}
-	for _, st := range at.byLoop {
+	for _, st := range at.active {
 		for _, cp := range st.trackers {
 			cpPool.Put(cp)
 		}
 	}
 
-	an.Funcs = buildFuncReports(at.funcSamples, at.funcShort, an.TotalSamples)
-	an.Data = buildDataReports(at.dataSamples, at.dataShort, an.TotalSamples)
+	// Fold the index-keyed counts by name: distinct functions or blocks
+	// may share one.
+	funcSamples, funcShort := make(map[string]int), make(map[string]int)
+	for k, n := range at.funcSamples {
+		if n > 0 {
+			name := ss.bin.Funcs[k].Name
+			funcSamples[name] += n
+			funcShort[name] += at.funcShort[k]
+		}
+	}
+	dataSamples, dataShort := make(map[string]int), make(map[string]int)
+	if ss.arena != nil {
+		blocks := ss.arena.Blocks()
+		for b, n := range at.dataSamples {
+			if n > 0 {
+				dataSamples[blocks[b].Name] += n
+				dataShort[blocks[b].Name] += at.dataShort[b]
+			}
+		}
+	}
+	an.Funcs = buildFuncReports(funcSamples, funcShort, an.TotalSamples)
+	an.Data = buildDataReports(dataSamples, dataShort, an.TotalSamples)
 	return an
 }
 
@@ -239,7 +343,7 @@ func (ss *streamState) release() {
 // operation sequence is identical however arrivals interleave (a loop
 // context created "late" by another thread's sample misses only breaks that
 // precede slot [t]'s first observation, which are no-ops on fresh
-// trackers). Everything else — sample counts, attribution maps — is
+// trackers). Everything else — sample and attribution counts — is
 // commutative sums, and the report stage sorts.
 type StreamAnalyzer struct {
 	mu sync.Mutex

@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/mem"
+	"repro/internal/objfile"
 	"repro/internal/obs"
 	"repro/internal/parsim"
 	"repro/internal/pmu"
@@ -291,5 +293,49 @@ func TestStreamingBoundedMemory(t *testing.T) {
 	// sync.Pool evictions between runs, nothing that scales.
 	if long > short+64 {
 		t.Errorf("streaming 100x the trace cost %.0f allocs vs %.0f for 1x; memory is no longer bounded", long, short)
+	}
+}
+
+// TestProfileStreamArenaGrowsDuringRun covers a kernel that allocates
+// while it runs. ProfileStream builds its analyzer before the workload
+// starts, so data attribution must take in blocks allocated later, as the
+// buffered pipeline (which analyzes after the run) does. One instruction
+// touches both arrays, so its block guess is wrong half the time.
+func TestProfileStreamArenaGrowsDuringRun(t *testing.T) {
+	build := func() *workloads.Program {
+		b := objfile.NewBuilder("late-alloc")
+		b.Func("kernel")
+		b.Loop("late.c", 3)
+		ld := b.Load("late.c", 4)
+		b.EndLoop()
+		ar := alloc.NewArena()
+		early := ar.Alloc("early", 1<<16, 0)
+		return workloads.NewProgram("late-alloc", b.Finish(), ar, func(tid, threads int, sink trace.Sink) {
+			late := ar.Alloc("late", 1<<16, 0)
+			for i := uint64(0); i < 1<<15; i++ {
+				sink.Ref(trace.Ref{IP: ld, Addr: early.Start + i*4096%early.Size})
+				sink.Ref(trace.Ref{IP: ld, Addr: late.Start + i*4160%late.Size})
+			}
+		})
+	}
+	popts := ProfileOptions{Period: pmu.Uniform(31), Seed: 42, NoTime: true}
+	p := build()
+	prof, err := ProfileProgram(p, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Analyze(prof, p.Binary, p.Arena, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := ProfileStream(build(), popts, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Data) != 2 {
+		t.Fatalf("buffered analysis attributes data to %+v, want early and late", want.Data)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, want); !bytes.Equal(g, w) {
+		t.Errorf("streaming analysis differs from buffered:\n%s\n---\n%s", g, w)
 	}
 }

@@ -4,6 +4,7 @@
 package e2e_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -114,6 +115,62 @@ func TestCCProfClean(t *testing.T) {
 	}
 	if strings.Contains(stdout, "CONFLICT MISSES DETECTED") {
 		t.Errorf("optimized NW reported conflicts:\n%s", stdout)
+	}
+}
+
+// TestCCProfSavedProfile drives the saved-profile path: a profile written
+// by -profile-out and read back by -analyze must print exactly the direct
+// run's report, and -analyze must exit 1 on a profile whose header claims
+// samples the file does not hold and on a profile of a different program
+// than the workload argument and -variant select.
+func TestCCProfSavedProfile(t *testing.T) {
+	dir := t.TempDir()
+	saved := filepath.Join(dir, "nw.prof")
+	direct, stderr, exit := run(t, "ccprof", "-profile-out", saved, "nw")
+	if exit != 0 {
+		t.Fatalf("ccprof -profile-out: exit %d, stderr %q", exit, stderr)
+	}
+	analyzed, stderr, exit := run(t, "ccprof", "-analyze", saved, "nw")
+	if exit != 0 {
+		t.Fatalf("ccprof -analyze: exit %d, stderr %q", exit, stderr)
+	}
+	report := func(out string) string {
+		if i := strings.Index(out, "CCProf report for"); i >= 0 {
+			return out[i:]
+		}
+		return ""
+	}
+	if want := report(direct); want == "" || report(analyzed) != want {
+		t.Errorf("-analyze report differs from the direct run's:\n%s\n--- direct ---\n%s", analyzed, direct)
+	}
+
+	// 96 bytes: magic, empty name, 64/64/8 geometry, one thread claiming
+	// 2^32 samples, and none of them.
+	crafted := []byte("CCP2\x00\x00\x00\x00")
+	for _, v := range []uint64{64, 64, 8, 0, 0, 0, 0, 0, 0, 1, 1 << 32} {
+		crafted = binary.LittleEndian.AppendUint64(crafted, v)
+	}
+	claim := filepath.Join(dir, "claim.prof")
+	if err := os.WriteFile(claim, crafted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-analyze", claim, "nw"}, []string{"reading profile", "unexpected EOF"}},
+		{[]string{"-analyze", saved, "adi"}, []string{"profile of nw", "select adi"}},
+		{[]string{"-analyze", saved, "-variant", "optimized", "nw"}, []string{"profile of nw", "select nw-pad288-32"}},
+	} {
+		_, stderr, exit := run(t, "ccprof", tc.args...)
+		if exit != 1 {
+			t.Errorf("ccprof %v: exit %d, want 1 (stderr %q)", tc.args, exit, stderr)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr, w) {
+				t.Errorf("ccprof %v: stderr %q is missing %q", tc.args, stderr, w)
+			}
+		}
 	}
 }
 

@@ -127,12 +127,21 @@ func (b *Binary) LineFor(addr uint64) SourceLoc { return b.lines[addr] }
 
 // FuncFor returns the function containing addr, if any.
 func (b *Binary) FuncFor(addr uint64) (Func, bool) {
-	for _, f := range b.Funcs {
-		if addr >= f.Start && addr < f.End {
-			return f, true
-		}
+	if i := b.FuncIndex(addr); i >= 0 {
+		return b.Funcs[i], true
 	}
 	return Func{}, false
+}
+
+// FuncIndex returns the index in Funcs of the function containing addr,
+// or -1 when no function contains it.
+func (b *Binary) FuncIndex(addr uint64) int {
+	for i, f := range b.Funcs {
+		if addr >= f.Start && addr < f.End {
+			return i
+		}
+	}
+	return -1
 }
 
 // Validate checks structural invariants: instructions sorted and contiguous,

@@ -37,9 +37,8 @@ type Tracker struct {
 	lastPos []uint64 // 1-based position of the previous miss on each set; 0 = none
 	pos     uint64   // misses observed so far
 
-	perSet []stats.IntHist // per-set RCD histograms (Figure 5-b)
-	pooled stats.IntHist   // all sets pooled, what the CDF plots show
-	misses []uint64        // per-set miss counts (Figure 3-b)
+	pooled stats.IntHist // all sets pooled, what the CDF plots show
+	misses []uint64      // per-set miss counts (Figure 3-b)
 }
 
 // New returns a Tracker for a cache with the given number of sets.
@@ -50,15 +49,14 @@ func New(sets int) *Tracker {
 	return &Tracker{
 		sets:    sets,
 		lastPos: make([]uint64, sets),
-		perSet:  stats.NewDense(sets),
 		misses:  make([]uint64, sets),
 	}
 }
 
 // Reset rewinds the tracker to the state New(sets) would construct. When
-// the set count is unchanged the per-set storage (including the dense
-// histogram bank) is cleared in place, so a pooled tracker is reused with
-// zero allocations.
+// the set count is unchanged the per-set storage and the pooled histogram
+// are cleared in place, so a pooled tracker is reused with zero
+// allocations.
 func (t *Tracker) Reset(sets int) {
 	if sets <= 0 {
 		panic(fmt.Sprintf("rcd: tracker with %d sets", sets))
@@ -67,11 +65,8 @@ func (t *Tracker) Reset(sets int) {
 		*t = *New(sets)
 		return
 	}
-	for i := range t.lastPos {
-		t.lastPos[i] = 0
-		t.misses[i] = 0
-		t.perSet[i].Reset()
-	}
+	clear(t.lastPos)
+	clear(t.misses)
 	t.pooled.Reset()
 	t.pos = 0
 }
@@ -91,7 +86,6 @@ func (t *Tracker) Observe(set int) int {
 	d := NoPrior
 	if p := t.lastPos[set]; p != 0 {
 		d = int(t.pos - p)
-		t.perSet[set].Add(d)
 		t.pooled.Add(d)
 	}
 	t.lastPos[set] = t.pos
@@ -129,9 +123,6 @@ func (t *Tracker) SetsUsed() int {
 // Hist returns the pooled RCD histogram across all sets.
 func (t *Tracker) Hist() *stats.IntHist { return &t.pooled }
 
-// SetHist returns the RCD histogram of one set.
-func (t *Tracker) SetHist(set int) *stats.IntHist { return &t.perSet[set] }
-
 // ShortCount returns the number of observed misses whose RCD is defined and
 // at most threshold (the N_RCD of Equation 1).
 func (t *Tracker) ShortCount(threshold int) uint64 {
@@ -146,15 +137,6 @@ func (t *Tracker) ContributionFactor(threshold int) float64 {
 		return 0
 	}
 	return float64(t.ShortCount(threshold)) / float64(t.pos)
-}
-
-// SetContributionFactor returns cf for a single set x: the fraction of the
-// context's misses with RCD <= threshold that landed on x.
-func (t *Tracker) SetContributionFactor(set, threshold int) float64 {
-	if t.pos == 0 {
-		return 0
-	}
-	return float64(t.perSet[set].CountLE(threshold)) / float64(t.pos)
 }
 
 // CDF returns the cumulative distribution of pooled RCDs — the curves of

@@ -87,20 +87,6 @@ func TestContributionFactorCountsFirstMissesInDenominator(t *testing.T) {
 	}
 }
 
-func TestSetContributionFactor(t *testing.T) {
-	tr := New(8)
-	tr.Observe(0)
-	tr.Observe(0) // set 0: RCD 1
-	tr.Observe(1)
-	tr.Observe(1) // set 1: RCD 1
-	if cf := tr.SetContributionFactor(0, 8); cf != 0.25 {
-		t.Errorf("set 0 cf = %g, want 0.25", cf)
-	}
-	if cf := tr.SetContributionFactor(2, 8); cf != 0 {
-		t.Errorf("unused set cf = %g, want 0", cf)
-	}
-}
-
 func TestEmptyTracker(t *testing.T) {
 	tr := New(4)
 	if tr.ContributionFactor(8) != 0 || tr.Imbalance() != 0 || tr.VictimSets(2) != nil {
@@ -155,9 +141,6 @@ func TestPerSetHistogramsAndMisses(t *testing.T) {
 	tr.Observe(2)
 	if tr.SetMisses(1) != 3 || tr.SetMisses(2) != 1 {
 		t.Errorf("SetMisses = %d/%d", tr.SetMisses(1), tr.SetMisses(2))
-	}
-	if tr.SetHist(1).Total() != 2 || tr.SetHist(1).Count(1) != 2 {
-		t.Errorf("set 1 hist = %v", tr.SetHist(1))
 	}
 	if tr.Hist().Total() != 2 {
 		t.Errorf("pooled hist total = %d, want 2", tr.Hist().Total())

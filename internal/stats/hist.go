@@ -14,10 +14,10 @@ import (
 // overflow map (and its per-sweep churn) out of the replay hot path.
 const denseSpan = 512
 
-// IntHist is a histogram over integer values, used for per-set RCD
-// distributions (Figure 5-b) and miss-per-set counts (Figure 3-b). Values
-// in [0, denseSpan) are counted in a flat array; anything outside spills to
-// a map. The zero value is ready to use.
+// IntHist is a histogram over integer values, used for pooled RCD
+// distributions (Figures 7 and 9), conflict-period lengths and miss-per-set
+// counts (Figure 3-b). Values in [0, denseSpan) are counted in a flat
+// array; anything outside spills to a map. The zero value is ready to use.
 type IntHist struct {
 	small    []uint64       // counts for values in [0, denseSpan); nil until first use
 	big      map[int]uint64 // overflow counts; nil until first out-of-span value
@@ -187,19 +187,6 @@ func (h *IntHist) Reset() {
 	clear(h.big)
 	h.distinct = 0
 	h.total = 0
-}
-
-// NewDense returns n ready IntHists whose dense arrays are carved from one
-// shared backing allocation — two allocations total instead of one per
-// histogram. It exists for per-set histogram banks (rcd.Tracker keeps one
-// IntHist per cache set).
-func NewDense(n int) []IntHist {
-	hs := make([]IntHist, n)
-	backing := make([]uint64, n*denseSpan)
-	for i := range hs {
-		hs[i].small = backing[i*denseSpan : (i+1)*denseSpan : (i+1)*denseSpan]
-	}
-	return hs
 }
 
 // CDFPoint is one point of a discrete cumulative distribution: the fraction
