@@ -257,10 +257,12 @@ func BenchmarkSpecgenExtraction(b *testing.B) {
 // — the in-harness analogue of CCProf's online overhead.
 func BenchmarkSamplerThroughput(b *testing.B) {
 	s := pmu.NewSampler(pmu.Config{Geom: mem.L1Default(), Period: pmu.Uniform(pmu.DefaultPeriod), Seed: 1})
+	e := trace.NewEmitter(s)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Ref(trace.Ref{IP: 1, Addr: uint64(i) * 64})
+		e.Ref(trace.Ref{IP: 1, Addr: uint64(i) * 64})
 	}
+	e.Flush()
 }
 
 // BenchmarkWorkloadEmission measures raw trace-generation speed (the
@@ -365,57 +367,14 @@ func BenchmarkAblationBurst(b *testing.B) {
 	}
 }
 
-// Parallel-engine benchmarks: batched reference streaming and the sharded
-// sweep executor (BENCH_2.json snapshots these).
+// Parallel-engine benchmarks: block reference streaming and the sharded
+// sweep executor (BENCH_2.json snapshots the latter).
 
-// BenchmarkUnbatchedStream measures per-reference delivery into the PMU
-// sampler — one interface dispatch per access, the pre-batching baseline.
-func BenchmarkUnbatchedStream(b *testing.B) {
-	refs := workloads.NewADI(256, 1).Original.Record().Refs
-	s := pmu.NewSampler(pmu.Config{Geom: mem.L1Default(), Period: pmu.Uniform(pmu.DefaultPeriod), Seed: 1})
-	s.Grow(len(refs))
-	var sink trace.Sink = s // dispatch through the interface, as workloads do
-	b.SetBytes(int64(len(refs)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range refs {
-			sink.Ref(r)
-		}
-		s.Samples = s.Samples[:0] // reuse the preallocated sample buffer
-	}
-	b.ReportMetric(float64(len(refs)), "refs/op")
-}
-
-// BenchmarkBatchedStream measures the same stream delivered in
-// DefaultBatch-sized slices — one dispatch per batch, the tightened inner
-// loop, zero allocations per reference.
-func BenchmarkBatchedStream(b *testing.B) {
-	refs := workloads.NewADI(256, 1).Original.Record().Refs
-	s := pmu.NewSampler(pmu.Config{Geom: mem.L1Default(), Period: pmu.Uniform(pmu.DefaultPeriod), Seed: 1})
-	s.Grow(len(refs))
-	b.SetBytes(int64(len(refs)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < len(refs); lo += trace.DefaultBatch {
-			hi := lo + trace.DefaultBatch
-			if hi > len(refs) {
-				hi = len(refs)
-			}
-			s.RefBatch(refs[lo:hi])
-		}
-		s.Samples = s.Samples[:0]
-	}
-	b.ReportMetric(float64(len(refs)), "refs/op")
-}
-
-// BenchmarkBlockStream measures the same stream delivered as
+// BenchmarkBlockStream measures ADI's recorded stream delivered as
 // struct-of-arrays RefBlocks into the sampler's fused sample+classify pass —
 // the replay fast path: contiguous 8-byte address reads, one fused
-// cache+sampler loop per block, zero allocations per reference. Against
-// BenchmarkBatchedStream this is the headline devirtualization+SoA speedup
-// (BENCH_5.json vs BENCH_2.json).
+// cache+sampler loop per block, zero allocations per reference
+// (BENCH_5.json).
 func BenchmarkBlockStream(b *testing.B) {
 	refs := workloads.NewADI(256, 1).Original.Record().Refs
 	var blk trace.RefBlock

@@ -74,8 +74,12 @@ type (
 	Sample = pmu.Sample
 	// Ref is one memory reference of a workload trace.
 	Ref = trace.Ref
-	// Sink consumes a reference stream.
+	// Sink consumes a reference stream, one struct-of-arrays block at a
+	// time.
 	Sink = trace.Sink
+	// Emitter is the per-thread producer a custom kernel writes its
+	// references into (see NewProgram).
+	Emitter = trace.Emitter
 	// Binary is a synthetic executable.
 	Binary = objfile.Binary
 	// BinaryBuilder assembles synthetic executables for custom kernels.
@@ -198,9 +202,11 @@ func WorkloadNames() []string { return workloads.Names() }
 // RodiniaSuite returns the 18 Rodinia-style kernels of the Figure 7 sweep.
 func RodiniaSuite() []*Program { return workloads.RodiniaSuite() }
 
-// NewProgram assembles a custom Program; see examples/custom-workload.
+// NewProgram assembles a custom Program: run emits thread tid's share of
+// the work, one sink.Ref call per memory access. See
+// examples/custom-workload.
 func NewProgram(name string, bin *Binary, ar *Arena,
-	run func(tid, threads int, sink Sink)) *Program {
+	run func(tid, threads int, sink *Emitter)) *Program {
 	return workloads.NewProgram(name, bin, ar, run)
 }
 
@@ -256,25 +262,8 @@ func Simulate(p *Program, m Machine, threads int) *cache.System {
 	}
 	// Interleave per-thread streams into the shared hierarchy in
 	// fixed-size chunks, approximating concurrent execution.
-	const chunk = 64
-	pos := make([]int, threads)
-	for {
-		progressed := false
-		for t := 0; t < threads; t++ {
-			s := streams.Streams[t]
-			end := pos[t] + chunk
-			if end > len(s) {
-				end = len(s)
-			}
-			for ; pos[t] < end; pos[t]++ {
-				sys.Access(t, s[pos[t]].Addr)
-				progressed = true
-			}
-		}
-		if !progressed {
-			return sys
-		}
-	}
+	sys.Interleave(streams.Streams, 64)
+	return sys
 }
 
 // RecommendPad searches candidate row pads for a rebuildable kernel and

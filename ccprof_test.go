@@ -76,7 +76,7 @@ func TestFacadeCustomProgram(t *testing.T) {
 		bin := b.Finish()
 		ar := NewArena()
 		tbl := ar.Alloc("tbl", 256*stride, 4096)
-		return NewProgram(name, bin, ar, func(tid, threads int, sink Sink) {
+		return NewProgram(name, bin, ar, func(tid, threads int, sink *Emitter) {
 			if tid != 0 {
 				return
 			}
@@ -137,5 +137,7 @@ func TestFacadeModels(t *testing.T) {
 func TestFacadeTypesInterop(t *testing.T) {
 	// Aliases must interoperate with internal values without conversion.
 	var s Sink = trace.Discard
-	s.Ref(Ref{})
+	var e *Emitter = trace.NewEmitter(s)
+	e.Ref(Ref{})
+	e.Flush()
 }

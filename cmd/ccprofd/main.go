@@ -32,6 +32,13 @@ import (
 	"repro/internal/parsim"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled connection cannot pin a server goroutine forever.
+// There is deliberately no whole-request ReadTimeout: without an
+// IdleTimeout it would also cut off polling clients' idle keep-alive
+// connections.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8347", "HTTP listen address for the job API")
@@ -116,7 +123,7 @@ func main() {
 	}
 
 	d.Start()
-	srv := &http.Server{Handler: d.Handler()}
+	srv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() {
 		err := srv.Serve(ln)

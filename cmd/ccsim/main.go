@@ -1,5 +1,5 @@
 // Command ccsim is a Dinero-style trace-driven cache simulator: it replays
-// a serialized CCProf trace (or a built-in workload) through a configurable
+// a framed (CCTB) CCProf trace (or a built-in workload) through a configurable
 // set-associative cache and reports hit/miss statistics, per-set miss
 // distribution, miss classification, and exact RCD metrics — the
 // ground-truth path the paper validates CCProf against.
@@ -25,11 +25,10 @@ import (
 
 func main() {
 	var (
-		traceIn  = flag.String("trace", "", "replay this serialized trace file")
+		traceIn  = flag.String("trace", "", "replay this framed (CCTB) trace file")
 		workload = flag.String("workload", "", "or: run this built-in workload")
 		variant  = flag.String("variant", "original", "workload variant: original or optimized")
-		dump     = flag.String("dump", "", "also serialize the reference trace to this file")
-		compress = flag.Bool("compress", false, "use the compressed trace format for -dump")
+		dump     = flag.String("dump", "", "also write the reference trace to this file (framed CCTB format)")
 		lineSize = flag.Int("line", 64, "cache line size (bytes)")
 		sets     = flag.Int("sets", 64, "number of cache sets")
 		ways     = flag.Int("ways", 8, "associativity")
@@ -45,28 +44,18 @@ func main() {
 	cl := cache.NewClassifier(geom)
 	tr := rcd.NewCP(geom.Sets)
 	var count trace.Counter
-	var sink trace.Sink = trace.SinkFunc(func(r trace.Ref) {
-		count.Ref(r)
+	sinks := []trace.Sink{&count, trace.SinkFunc(func(r trace.Ref) {
 		if cl.Access(r.Addr) != cache.Hit {
 			tr.Observe(geom.Set(r.Addr))
 		}
-	})
+	})}
 
-	var dumpFile *os.File
 	if *dump != "" {
-		dumpFile, err = os.Create(*dump)
+		dumpFile, err := os.Create(*dump)
 		if err != nil {
 			fatal(err)
 		}
-		var tw interface {
-			trace.Sink
-			Close() error
-		}
-		if *compress {
-			tw = trace.NewCompressedWriter(dumpFile)
-		} else {
-			tw = trace.NewWriter(dumpFile)
-		}
+		tw := trace.NewTraceWriter(dumpFile, 0)
 		defer func() {
 			if err := tw.Close(); err != nil {
 				fatal(err)
@@ -75,8 +64,9 @@ func main() {
 				fatal(err)
 			}
 		}()
-		sink = trace.Tee(sink, tw)
+		sinks = append(sinks, tw)
 	}
+	sink := trace.Tee(sinks...)
 
 	switch {
 	case *traceIn != "":
@@ -85,7 +75,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if _, err := trace.ReadAny(f, sink); err != nil {
+		if _, err := trace.ReadAllFramed(f, sink); err != nil {
 			fatal(err)
 		}
 	case *workload != "":

@@ -62,7 +62,7 @@ func TestGolden(t *testing.T) {
 	t.Run("framed-roundtrip", func(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "perf.cctb")
 		var conv bytes.Buffer // report embeds the temp path; not goldened
-		if err := convert(&conv, input, out, "framed", true, 4, 0); err != nil {
+		if err := convert(&conv, input, out, true, 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -79,13 +79,4 @@ func TestGolden(t *testing.T) {
 		}
 		checkGolden(t, "perf.head3.dump.golden", buf.Bytes())
 	})
-}
-
-// TestConvertRejectsUnknownFormat keeps the format switch honest.
-func TestConvertRejectsUnknownFormat(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "x")
-	err := convert(new(bytes.Buffer), filepath.Join("testdata", "perf.jsonl"), out, "sideways", true, 0, 0)
-	if err == nil {
-		t.Fatal("unknown format accepted")
-	}
 }

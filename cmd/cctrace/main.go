@@ -2,16 +2,16 @@
 //
 // Usage:
 //
-//	cctrace -stats FILE                     # summarize a trace (any binary format)
+//	cctrace -stats FILE                     # summarize a framed (CCTB) trace
 //	cctrace -dump FILE                      # print decoded references as text
-//	cctrace -in FILE -out FILE              # convert; -format picks flat|compressed|framed
-//	cctrace -jsonl -in S.jsonl -out S.cct   # ingest perf-script style JSONL
+//	cctrace -in FILE -out FILE              # re-frame a trace (see -frame)
+//	cctrace -jsonl -in S.jsonl -out S.cctb  # ingest perf-script style JSONL
 //	cctrace -head N -stats FILE             # only the first N references
 //
-// The framed format (-format framed) is the streaming profiler's native
-// input: frames are independently decodable, so ccprof's trace mode can
-// shard the file at frame boundaries and resume a partially consumed trace
-// from a checkpoint.
+// Binary traces are always in the framed format, the streaming profiler's
+// native input: frames are independently decodable, so ccprof's trace mode
+// can shard the file at frame boundaries and resume a partially consumed
+// trace from a checkpoint.
 package main
 
 import (
@@ -26,21 +26,16 @@ import (
 
 func main() {
 	var (
-		statsIn  = flag.String("stats", "", "print summary statistics of this trace")
-		dumpIn   = flag.String("dump", "", "print this trace's decoded references as text")
-		in       = flag.String("in", "", "convert: input trace")
-		out      = flag.String("out", "", "convert: output trace")
-		format   = flag.String("format", "flat", "convert: output format: flat, compressed, or framed")
-		compress = flag.Bool("compress", false, "convert: shorthand for -format compressed")
-		frame    = flag.Int("frame", 0, "framed output: references per frame (0 = the default block size)")
-		jsonl    = flag.Bool("jsonl", false, "input is perf-script style JSONL, one record per line")
-		head     = flag.Uint64("head", 0, "process only the first N references (0 = all)")
+		statsIn = flag.String("stats", "", "print summary statistics of this trace")
+		dumpIn  = flag.String("dump", "", "print this trace's decoded references as text")
+		in      = flag.String("in", "", "convert: input trace")
+		out     = flag.String("out", "", "convert: output trace (framed CCTB format)")
+		frame   = flag.Int("frame", 0, "convert: references per output frame (0 = the default block size)")
+		jsonl   = flag.Bool("jsonl", false, "input is perf-script style JSONL, one record per line")
+		head    = flag.Uint64("head", 0, "process only the first N references (0 = all)")
 	)
 	flag.Parse()
 
-	if *compress {
-		*format = "compressed"
-	}
 	switch {
 	case *statsIn != "":
 		if err := printStats(os.Stdout, *statsIn, *jsonl, *head); err != nil {
@@ -51,7 +46,7 @@ func main() {
 			fatal(err)
 		}
 	case *in != "" && *out != "":
-		if err := convert(os.Stdout, *in, *out, *format, *jsonl, *frame, *head); err != nil {
+		if err := convert(os.Stdout, *in, *out, *jsonl, *frame, *head); err != nil {
 			fatal(err)
 		}
 	default:
@@ -61,7 +56,7 @@ func main() {
 }
 
 // readTrace feeds path's references into sink, decoding JSONL when asked and
-// sniffing the binary format otherwise. It returns the reference count and,
+// the framed binary format otherwise. It returns the reference count and,
 // for JSONL, the number of records skipped for lacking an address.
 func readTrace(path string, jsonl bool, head uint64, sink trace.Sink) (n int, skipped int, err error) {
 	f, err := os.Open(path)
@@ -75,7 +70,7 @@ func readTrace(path string, jsonl bool, head uint64, sink trace.Sink) (n int, sk
 	if jsonl {
 		return trace.ReadJSONL(f, sink)
 	}
-	n, err = trace.ReadAny(f, sink)
+	n, err = trace.ReadAllFramed(f, sink)
 	return n, 0, err
 }
 
@@ -86,8 +81,7 @@ func printStats(w io.Writer, path string, jsonl bool, head uint64) error {
 	sets := make([]uint64, geom.Sets)
 	var minAddr, maxAddr uint64 = ^uint64(0), 0
 
-	n, skipped, err := readTrace(path, jsonl, head, trace.SinkFunc(func(r trace.Ref) {
-		count.Ref(r)
+	n, skipped, err := readTrace(path, jsonl, head, trace.Tee(&count, trace.SinkFunc(func(r trace.Ref) {
 		ips[r.IP]++
 		sets[geom.Set(r.Addr)]++
 		if r.Addr < minAddr {
@@ -96,7 +90,7 @@ func printStats(w io.Writer, path string, jsonl bool, head uint64) error {
 		if r.Addr > maxAddr {
 			maxAddr = r.Addr
 		}
-	}))
+	})))
 	if err != nil {
 		return err
 	}
@@ -146,26 +140,12 @@ func dump(w io.Writer, path string, jsonl bool, head uint64) error {
 	return nil
 }
 
-func convert(w io.Writer, inPath, outPath, format string, jsonl bool, frame int, head uint64) error {
+func convert(w io.Writer, inPath, outPath string, jsonl bool, frame int, head uint64) error {
 	fout, err := os.Create(outPath)
 	if err != nil {
 		return err
 	}
-	var sink interface {
-		trace.Sink
-		Close() error
-	}
-	switch format {
-	case "flat":
-		sink = trace.NewWriter(fout)
-	case "compressed":
-		sink = trace.NewCompressedWriter(fout)
-	case "framed":
-		sink = trace.NewTraceWriter(fout, frame)
-	default:
-		fout.Close()
-		return fmt.Errorf("unknown output format %q (want flat, compressed, or framed)", format)
-	}
+	sink := trace.NewTraceWriter(fout, frame)
 	n, skipped, err := readTrace(inPath, jsonl, head, sink)
 	if err != nil {
 		return err
@@ -180,7 +160,7 @@ func convert(w io.Writer, inPath, outPath, format string, jsonl bool, frame int,
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "converted %d references -> %s (%d bytes, %s)\n", n, outPath, st.Size(), format)
+	fmt.Fprintf(w, "converted %d references -> %s (%d bytes, framed)\n", n, outPath, st.Size())
 	if skipped > 0 {
 		fmt.Fprintf(w, "skipped: %d records without an address\n", skipped)
 	}

@@ -35,7 +35,8 @@ func Example() {
 }
 
 // ExampleNewProgram shows how a user kernel plugs into the profiler: build
-// a synthetic binary, describe the data, emit one Ref per access.
+// a synthetic binary, describe the data, emit one Ref per access into the
+// thread's Emitter.
 func ExampleNewProgram() {
 	b := ccprof.NewBinaryBuilder("demo")
 	b.Func("main")
@@ -47,7 +48,7 @@ func ExampleNewProgram() {
 	ar := ccprof.NewArena()
 	table := ar.Alloc("table", 64*4096, 4096)
 
-	p := ccprof.NewProgram("demo", bin, ar, func(tid, threads int, sink ccprof.Sink) {
+	p := ccprof.NewProgram("demo", bin, ar, func(tid, threads int, sink *ccprof.Emitter) {
 		if tid != 0 {
 			return
 		}

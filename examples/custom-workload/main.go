@@ -17,7 +17,6 @@ import (
 
 	"repro"
 	"repro/internal/pmu"
-	"repro/internal/trace"
 )
 
 // buildHistogram constructs the custom workload. binStride is the distance
@@ -40,16 +39,17 @@ func buildHistogram(name string, bins int, binStride uint64, updates int) *ccpro
 	table := ar.Alloc("bin_table", uint64(bins)*binStride, 4096)
 
 	// 3. The run function emits one load+store per histogram update, at
-	//    pseudo-random bins (seeded, so runs are reproducible).
-	run := func(tid, threads int, sink ccprof.Sink) {
+	//    pseudo-random bins (seeded, so runs are reproducible), into its
+	//    thread's Emitter: one Ref call per memory access.
+	run := func(tid, threads int, sink *ccprof.Emitter) {
 		if tid != 0 {
 			return
 		}
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < updates; i++ {
 			addr := table.Start + uint64(rng.Intn(bins))*binStride
-			sink.Ref(trace.Ref{IP: ld, Addr: addr})
-			sink.Ref(trace.Ref{IP: st, Addr: addr, Write: true})
+			sink.Ref(ccprof.Ref{IP: ld, Addr: addr})
+			sink.Ref(ccprof.Ref{IP: st, Addr: addr, Write: true})
 		}
 	}
 	return ccprof.NewProgram(name, bin, ar, run)

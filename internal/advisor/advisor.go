@@ -410,12 +410,12 @@ func tierPrune(pads []uint64, policy TierPolicy, opts Options, geom mem.Geometry
 	return kept, vetted, surplus
 }
 
-// evalSink is the advisor's block-aware cost model: the configured L1
-// backed by a 256KiB L2 (the private L2 of the evaluated machines), costed
-// with the Broadwell latency table. Implementing trace.BlockSink lets the
-// workload deliver references in struct-of-arrays blocks: the L1 classifies
-// a whole block in one fused pass (cache.BlockMisses) and only the misses —
-// a few percent of references — pay the RCD bookkeeping and the L2 probe.
+// evalSink is the advisor's cost model: the configured L1 backed by a
+// 256KiB L2 (the private L2 of the evaluated machines), costed with the
+// Broadwell latency table. The workload delivers references in
+// struct-of-arrays blocks: the L1 classifies a whole block in one fused pass
+// (cache.BlockMisses) and only the misses — a few percent of references —
+// pay the RCD bookkeeping and the L2 probe.
 type evalSink struct {
 	geom    mem.Geometry
 	l1, l2  *cache.Cache
@@ -428,36 +428,9 @@ type evalSink struct {
 	miss []int32 // scratch miss-index buffer for the block path
 }
 
-func (e *evalSink) one(r trace.Ref) {
-	if e.maxRefs > 0 && e.n >= e.maxRefs {
-		return
-	}
-	e.n++
-	if e.l1.AccessHit(r.Addr) {
-		e.cycles += uint64(e.lat.L1Hit)
-		return
-	}
-	e.tr.Observe(e.geom.Set(r.Addr))
-	if e.l2.AccessHit(r.Addr) {
-		e.cycles += uint64(e.lat.L2Hit)
-		return
-	}
-	e.cycles += uint64(e.lat.Memory)
-}
-
-// Ref implements trace.Sink.
-func (e *evalSink) Ref(r trace.Ref) { e.one(r) }
-
-// RefBatch implements trace.BatchSink.
-func (e *evalSink) RefBatch(refs []trace.Ref) {
-	for i := range refs {
-		e.one(refs[i])
-	}
-}
-
-// RefBlock implements trace.BlockSink — the fused fast path. Outcomes are
-// identical to per-reference delivery: same simulation order, same
-// statistics, same cycle cost.
+// RefBlock implements trace.Sink — the fused fast path. Outcomes are
+// identical to simulating each reference in turn: same simulation order,
+// same statistics, same cycle cost.
 func (e *evalSink) RefBlock(b *trace.RefBlock) {
 	addrs := b.Addr
 	if e.maxRefs > 0 {

@@ -25,7 +25,7 @@ func columnWalk(n int) func(pad uint64) *workloads.Program {
 		bin := b.Finish()
 		ar := alloc.NewArena()
 		m := alloc.NewMatrix2D(ar, "m", n, n, 8, pad)
-		return workloads.NewProgram("colwalk", bin, ar, func(tid, threads int, sink trace.Sink) {
+		return workloads.NewProgram("colwalk", bin, ar, func(tid, threads int, sink *trace.Emitter) {
 			if tid != 0 {
 				return
 			}
@@ -49,7 +49,7 @@ func rowWalk(n int) func(pad uint64) *workloads.Program {
 		bin := b.Finish()
 		ar := alloc.NewArena()
 		m := alloc.NewMatrix2D(ar, "m", n, n, 8, pad)
-		return workloads.NewProgram("rowwalk", bin, ar, func(tid, threads int, sink trace.Sink) {
+		return workloads.NewProgram("rowwalk", bin, ar, func(tid, threads int, sink *trace.Emitter) {
 			if tid != 0 {
 				return
 			}
@@ -130,7 +130,7 @@ func adiAt(pad uint64) *workloads.Program {
 	u := alloc.NewMatrix2D(ar, "u", n, n, 8, pad)
 	av := alloc.NewMatrix2D(ar, "a", n, n, 8, pad)
 	bv := alloc.NewMatrix2D(ar, "b", n, n, 8, pad)
-	return workloads.NewProgram("adi-proxy", bin, ar, func(tid, threads int, sink trace.Sink) {
+	return workloads.NewProgram("adi-proxy", bin, ar, func(tid, threads int, sink *trace.Emitter) {
 		if tid != 0 {
 			return
 		}

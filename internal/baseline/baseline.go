@@ -47,20 +47,22 @@ func NewMST(g mem.Geometry) *MST {
 	}
 }
 
-// Ref implements trace.Sink.
-func (m *MST) Ref(r trace.Ref) {
-	set := m.geom.Set(r.Addr)
-	tag := m.geom.Tag(r.Addr)
-	res := m.l1.Access(r.Addr)
-	if res.Hit {
-		return
-	}
-	m.Misses++
-	if m.last[set] == tag+1 {
-		m.Conflicts++
-	}
-	if res.Evicted {
-		m.last[set] = m.geom.Tag(res.Victim) + 1
+// RefBlock implements trace.Sink.
+func (m *MST) RefBlock(b *trace.RefBlock) {
+	for _, addr := range b.Addr {
+		set := m.geom.Set(addr)
+		tag := m.geom.Tag(addr)
+		res := m.l1.Access(addr)
+		if res.Hit {
+			continue
+		}
+		m.Misses++
+		if m.last[set] == tag+1 {
+			m.Conflicts++
+		}
+		if res.Evicted {
+			m.last[set] = m.geom.Tag(res.Victim) + 1
+		}
 	}
 }
 

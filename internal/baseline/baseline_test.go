@@ -11,11 +11,20 @@ func g() mem.Geometry { return mem.MustGeometry(64, 4, 2) }
 
 // thrash drives n rounds over k same-set lines through the sink.
 func thrash(sink trace.Sink, geom mem.Geometry, set, k, rounds int) {
+	e := trace.NewEmitter(sink)
 	for r := 0; r < rounds; r++ {
 		for t := 0; t < k; t++ {
-			sink.Ref(trace.Ref{Addr: geom.Compose(uint64(t+1), set, 0)})
+			e.Ref(trace.Ref{Addr: geom.Compose(uint64(t+1), set, 0)})
 		}
 	}
+	e.Flush()
+}
+
+// feed delivers refs to sink as one block.
+func feed(sink trace.Sink, refs ...trace.Ref) {
+	var b trace.RefBlock
+	b.AppendRefs(refs)
+	sink.RefBlock(&b)
 }
 
 func TestMSTDetectsThrashing(t *testing.T) {
@@ -38,7 +47,7 @@ func TestMSTIgnoresStreaming(t *testing.T) {
 	m := NewMST(g())
 	// Pure streaming: every line touched once, never re-referenced.
 	for i := 0; i < 1000; i++ {
-		m.Ref(trace.Ref{Addr: uint64(i) * 64})
+		feed(m, trace.Ref{Addr: uint64(i) * 64})
 	}
 	if m.Conflicts != 0 {
 		t.Errorf("MST classified %d streaming misses as conflicts", m.Conflicts)
@@ -50,9 +59,9 @@ func TestMSTIgnoresStreaming(t *testing.T) {
 
 func TestMSTHitsDontCount(t *testing.T) {
 	m := NewMST(g())
-	m.Ref(trace.Ref{Addr: 0})
+	feed(m, trace.Ref{Addr: 0})
 	for i := 0; i < 10; i++ {
-		m.Ref(trace.Ref{Addr: 0})
+		feed(m, trace.Ref{Addr: 0})
 	}
 	if m.Misses != 1 || m.Conflicts != 0 {
 		t.Errorf("misses=%d conflicts=%d", m.Misses, m.Conflicts)
@@ -70,16 +79,16 @@ func TestMSTVictimBufferDepthOne(t *testing.T) {
 	b := geom.Compose(2, 0, 0)
 	c := geom.Compose(3, 0, 0)
 	d := geom.Compose(4, 0, 0)
-	m.Ref(trace.Ref{Addr: a}) // miss (cold)
-	m.Ref(trace.Ref{Addr: b}) // miss
-	m.Ref(trace.Ref{Addr: c}) // miss, evicts a -> last = a
-	m.Ref(trace.Ref{Addr: d}) // miss, evicts b -> last = b
+	feed(m, trace.Ref{Addr: a}) // miss (cold)
+	feed(m, trace.Ref{Addr: b}) // miss
+	feed(m, trace.Ref{Addr: c}) // miss, evicts a -> last = a
+	feed(m, trace.Ref{Addr: d}) // miss, evicts b -> last = b
 	before := m.Conflicts
-	m.Ref(trace.Ref{Addr: a}) // miss, but last victim is b, not a
+	feed(m, trace.Ref{Addr: a}) // miss, but last victim is b, not a
 	if m.Conflicts != before {
 		t.Error("depth-1 MST should have missed this conflict")
 	}
-	m.Ref(trace.Ref{Addr: c}) // c was evicted by a just now -> classified
+	feed(m, trace.Ref{Addr: c}) // c was evicted by a just now -> classified
 	if m.Conflicts != before+1 {
 		t.Error("MST should classify the immediate victim's return")
 	}

@@ -77,9 +77,38 @@ func (s *System) Access(core int, addr uint64) int {
 	return level
 }
 
-// CoreSink adapts one core of the system to the trace.Sink interface.
-func (s *System) CoreSink(core int) trace.Sink {
-	return trace.SinkFunc(func(r trace.Ref) { s.Access(core, r.Addr) })
+// Interleave replays per-thread reference streams into the system, stream
+// t on core t, visiting threads round-robin chunk references at a time. It
+// approximates the memory traffic a shared cache level observes when
+// several hardware threads run the same kernel on disjoint partitions,
+// which is how the parallel experiments (Table 3) drive the shared LLC. A
+// chunk size <= 0 is treated as 1 (perfectly fine-grained interleaving).
+func (s *System) Interleave(streams [][]trace.Ref, chunk int) {
+	interleave(streams, chunk, func(core int, refs []trace.Ref) {
+		for _, r := range refs {
+			s.Access(core, r.Addr)
+		}
+	})
+}
+
+// interleave is Interleave's schedule: it hands visit each thread's next
+// chunk in round-robin order until every stream is exhausted.
+func interleave(streams [][]trace.Ref, chunk int, visit func(t int, refs []trace.Ref)) {
+	if chunk <= 0 {
+		chunk = 1
+	}
+	for off := 0; ; off += chunk {
+		progressed := false
+		for t, refs := range streams {
+			if off < len(refs) {
+				visit(t, refs[off:min(off+chunk, len(refs))])
+				progressed = true
+			}
+		}
+		if !progressed {
+			return
+		}
+	}
 }
 
 // MissesAt returns the total misses observed at a cache level across cores:

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -63,13 +65,96 @@ func TestSystemPrivateCaches(t *testing.T) {
 	}
 }
 
-func TestSystemCoreSink(t *testing.T) {
-	s := NewSystem(testMachine(), 1)
-	sink := s.CoreSink(0)
-	sink.Ref(trace.Ref{Addr: 0x100})
-	sink.Ref(trace.Ref{Addr: 0x100})
-	if s.Accesses() != 2 {
-		t.Errorf("accesses via sink = %d, want 2", s.Accesses())
+// TestSystemInterleave: every recorded reference reaches the core that
+// owns its stream.
+func TestSystemInterleave(t *testing.T) {
+	s := NewSystem(testMachine(), 2)
+	s.Interleave([][]trace.Ref{{{Addr: 0x100}, {Addr: 0x100}, {Addr: 0x140}}, {{Addr: 0x100}}}, 64)
+	if s.Accesses() != 4 || s.L1[0].Accesses() != 3 || s.L1[1].Accesses() != 1 {
+		t.Errorf("accesses = %d (core 0: %d, core 1: %d), want 4 (3, 1)",
+			s.Accesses(), s.L1[0].Accesses(), s.L1[1].Accesses())
+	}
+	if s.L1[0].Hits != 1 {
+		t.Errorf("core 0 L1 hits = %d, want 1 (its repeated line)", s.L1[0].Hits)
+	}
+}
+
+// addrs flattens interleave's schedule into the visited address sequence.
+func addrs(streams [][]trace.Ref, chunk int) []uint64 {
+	var got []uint64
+	interleave(streams, chunk, func(_ int, refs []trace.Ref) {
+		for _, r := range refs {
+			got = append(got, r.Addr)
+		}
+	})
+	return got
+}
+
+func TestInterleaveRoundRobin(t *testing.T) {
+	streams := [][]trace.Ref{
+		{{Addr: 1}, {Addr: 2}, {Addr: 3}},
+		{{Addr: 10}, {Addr: 20}},
+	}
+	if got, want := addrs(streams, 1), []uint64{1, 10, 2, 20, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+}
+
+func TestInterleaveChunked(t *testing.T) {
+	streams := [][]trace.Ref{
+		{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}},
+		{{Addr: 10}, {Addr: 20}},
+	}
+	if got, want := addrs(streams, 2), []uint64{1, 2, 10, 20, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+}
+
+func TestInterleaveZeroChunk(t *testing.T) {
+	streams := [][]trace.Ref{{{Addr: 1}, {Addr: 3}}, {{Addr: 2}}}
+	// Must not loop forever and must treat the chunk as 1.
+	if got, want := addrs(streams, 0), []uint64{1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+}
+
+// Property: interleaving preserves per-thread order and total count, and
+// visits each reference on its own thread.
+func TestInterleavePreservesOrder(t *testing.T) {
+	f := func(lens []uint8, chunk uint8) bool {
+		if len(lens) > 8 {
+			lens = lens[:8]
+		}
+		streams := make([][]trace.Ref, len(lens))
+		total := 0
+		for t := range streams {
+			n := int(lens[t]) % 50
+			total += n
+			for i := 0; i < n; i++ {
+				// Encode (thread, seq) in the address.
+				streams[t] = append(streams[t], trace.Ref{Addr: uint64(t)<<32 | uint64(i)})
+			}
+		}
+		lastSeq := make([]int64, len(streams))
+		for i := range lastSeq {
+			lastSeq[i] = -1
+		}
+		count := 0
+		ok := true
+		interleave(streams, int(chunk)%5, func(th int, refs []trace.Ref) {
+			for _, r := range refs {
+				count++
+				seq := int64(r.Addr & 0xffffffff)
+				if int(r.Addr>>32) != th || seq != lastSeq[th]+1 {
+					ok = false
+				}
+				lastSeq[th] = seq
+			}
+		})
+		return ok && count == total
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

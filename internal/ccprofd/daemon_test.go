@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +161,44 @@ func TestDaemonValidationAndLookups(t *testing.T) {
 	// Unknown job and premature result.
 	if _, status := getResult(t, srv.URL, "j999999"); status != http.StatusNotFound {
 		t.Errorf("result of unknown job: status %d, want 404", status)
+	}
+}
+
+// TestDaemonRejectsOversizedSpec: a POST /jobs body over maxSpecBytes is
+// refused with 413 before anything is decoded into a job — no job is
+// created and the journal is untouched — while a normal spec is still
+// accepted.
+func TestDaemonRejectsOversizedSpec(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := newTestDaemon(t, dir, Options{Workers: 1})
+	journal := filepath.Join(dir, "jobs.journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		return rec
+	}
+
+	huge := `{"kind":"profile","workload":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	rec := post(huge)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", rec.Code)
+	}
+	if rec.Body.Len() > 1024 {
+		t.Errorf("413 reply is %d bytes; it must not echo the body", rec.Body.Len())
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Errorf("oversized spec created jobs: %+v", jobs)
+	}
+	if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("oversized spec touched the journal (%d -> %d bytes, err %v)", len(before), len(after), err)
+	}
+
+	if rec := post(`{"kind":"profile","workload":"nw"}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("normal spec: status %d, want 202 (body %s)", rec.Code, rec.Body)
 	}
 }
 

@@ -3,12 +3,19 @@ package ccprofd
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 )
+
+// maxSpecBytes bounds a POST /jobs body. The largest legitimate spec is a
+// few hundred bytes; the bound keeps one oversized request from holding
+// the daemon's memory (the decoder would otherwise buffer the whole body).
+const maxSpecBytes = 64 << 10
 
 // Handler mounts the job API and the obs surface on one mux:
 //
 //	POST /jobs             submit a Spec; 202 + job JSON, 400 invalid,
+//	                       413 body over maxSpecBytes,
 //	                       429 + Retry-After when the queue is full,
 //	                       503 while draining
 //	GET  /jobs             list all jobs
@@ -55,9 +62,13 @@ func errorJSON(w http.ResponseWriter, status int, msg string) {
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			errorJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("job spec exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		errorJSON(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}

@@ -430,7 +430,7 @@ func TestAnalyzeFunctionRollupMultiFunc(t *testing.T) {
 	ar := alloc.NewArena()
 	big := ar.Alloc("stream_buf", 1<<22, 64)
 	ring := ar.Alloc("ring", 16*4096, 4096)
-	p := workloads.NewProgram("twofuncs", bin, ar, func(tid, threads int, sink trace.Sink) {
+	p := workloads.NewProgram("twofuncs", bin, ar, func(tid, threads int, sink *trace.Emitter) {
 		if tid != 0 {
 			return
 		}

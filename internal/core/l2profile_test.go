@@ -125,7 +125,7 @@ func strideKernel(stride uint64, rows, reps int) *workloads.Program {
 	bin := b.Finish()
 	ar := alloc.NewArena()
 	blk := ar.Alloc("walk", uint64(rows)*stride, 4096)
-	return workloads.NewProgram("stride", bin, ar, func(tid, threads int, sink trace.Sink) {
+	return workloads.NewProgram("stride", bin, ar, func(tid, threads int, sink *trace.Emitter) {
 		if tid != 0 {
 			return
 		}

@@ -310,7 +310,7 @@ func TestProfileStreamArenaGrowsDuringRun(t *testing.T) {
 		b.EndLoop()
 		ar := alloc.NewArena()
 		early := ar.Alloc("early", 1<<16, 0)
-		return workloads.NewProgram("late-alloc", b.Finish(), ar, func(tid, threads int, sink trace.Sink) {
+		return workloads.NewProgram("late-alloc", b.Finish(), ar, func(tid, threads int, sink *trace.Emitter) {
 			late := ar.Alloc("late", 1<<16, 0)
 			for i := uint64(0); i < 1<<15; i++ {
 				sink.Ref(trace.Ref{IP: ld, Addr: early.Start + i*4096%early.Size})

@@ -45,7 +45,7 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	binDir = dir
-	for _, cmd := range []string{"ccprof", "ccprofd", "conflint", "experiments"} {
+	for _, cmd := range []string{"ccprof", "ccprofd", "ccsim", "cctrace", "conflint", "experiments"} {
 		build := exec.Command("go", "build", "-o", filepath.Join(dir, cmd), "./cmd/"+cmd)
 		build.Dir = root
 		if out, err := build.CombinedOutput(); err != nil {

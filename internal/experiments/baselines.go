@@ -37,7 +37,7 @@ func staticVictimKernel() *workloads.Program {
 	bin := b.Finish()
 	ar := alloc.NewArena()
 	tbl := ar.Alloc("table", 256*4096, 4096)
-	return workloads.NewProgram("static-victim", bin, ar, func(tid, threads int, sink trace.Sink) {
+	return workloads.NewProgram("static-victim", bin, ar, func(tid, threads int, sink *trace.Emitter) {
 		if tid != 0 {
 			return
 		}
@@ -62,7 +62,7 @@ func roundRobinKernel(geom mem.Geometry) *workloads.Program {
 	k := geom.Ways + 1
 	span := uint64(geom.Sets) * uint64(geom.LineSize)
 	blk := ar.Alloc("ring", uint64(k)*span, span)
-	return workloads.NewProgram("round-robin", bin, ar, func(tid, threads int, sink trace.Sink) {
+	return workloads.NewProgram("round-robin", bin, ar, func(tid, threads int, sink *trace.Emitter) {
 		if tid != 0 {
 			return
 		}
@@ -124,11 +124,11 @@ func Baselines(w io.Writer, scale Scale) ([]BaselineRow, error) {
 
 		// Full-trace lane.
 		mst := baseline.NewMST(geom)
-		runOn(p, mst)
+		p.Run(mst)
 		mstRow.Observe(mst.Verdict(0.30), labels[i])
 
 		cl := cache.NewClassifier(geom)
-		runOn(p, trace.SinkFunc(func(r trace.Ref) { cl.Access(r.Addr) }))
+		p.Run(trace.SinkFunc(func(r trace.Ref) { cl.Access(r.Addr) }))
 		threeCRow.Observe(cl.ConflictRatio() >= 0.25, labels[i])
 	}
 

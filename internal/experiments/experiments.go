@@ -77,9 +77,6 @@ func analyzed(p *workloads.Program, period uint64, seed int64) (*core.Profile, *
 	return prof, an, nil
 }
 
-// runOn plays a program's sequential stream into a sink.
-func runOn(p *workloads.Program, sink trace.Sink) { p.Run(sink) }
-
 // simulateThreaded replays a program on a machine's full hierarchy with the
 // given thread count, interleaving per-thread streams chunk-wise. The
 // populated system's statistics merge into the process registry before it
@@ -97,22 +94,7 @@ func simulateThreaded(p *workloads.Program, m mem.Machine, threads int) *cache.S
 	for tid := 0; tid < threads; tid++ {
 		p.RunThread(tid, threads, rec.Thread(tid))
 	}
-	const chunk = 64
-	pos := make([]int, threads)
-	for progressed := true; progressed; {
-		progressed = false
-		for t := 0; t < threads; t++ {
-			s := rec.Streams[t]
-			end := pos[t] + chunk
-			if end > len(s) {
-				end = len(s)
-			}
-			for ; pos[t] < end; pos[t]++ {
-				sys.Access(t, s[pos[t]].Addr)
-				progressed = true
-			}
-		}
-	}
+	sys.Interleave(rec.Streams, 64)
 	sys.ObserveInto(obs.Default)
 	return sys
 }

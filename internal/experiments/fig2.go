@@ -42,9 +42,9 @@ func Fig2(w io.Writer, scale Scale) (Fig2Result, error) {
 		m := mem.Broadwell()
 		l1 = cache.New(m.L1, cache.LRU, nil)
 		l2 = cache.New(m.L2, cache.LRU, nil)
-		runOn(p, sinkFunc(func(addr uint64) {
-			if !l1.Access(addr).Hit {
-				l2.Access(addr)
+		p.Run(trace.SinkFunc(func(r trace.Ref) {
+			if !l1.Access(r.Addr).Hit {
+				l2.Access(r.Addr)
 			}
 		}))
 		return l1, l2
@@ -89,8 +89,3 @@ func imbalance(setMisses []uint64) float64 {
 	}
 	return float64(max) * float64(len(setMisses)) / float64(total)
 }
-
-// sinkFunc adapts an address-consuming function to trace.Sink.
-type sinkFunc func(addr uint64)
-
-func (f sinkFunc) Ref(r trace.Ref) { f(r.Addr) }

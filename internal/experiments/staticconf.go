@@ -16,25 +16,19 @@ import (
 )
 
 // classifySink feeds the exact 3C classifier and the RCD tracker from a
-// reference stream, consuming batches to keep the ground-truth replay off
-// the per-ref dispatch path.
+// reference stream, one block of addresses at a time.
 type classifySink struct {
 	g  mem.Geometry
 	cl *cache.Classifier
 	tr *rcd.Tracker
 }
 
-// Ref implements trace.Sink.
-func (s *classifySink) Ref(r trace.Ref) {
-	if s.cl.Access(r.Addr) != cache.Hit {
-		s.tr.Observe(s.g.Set(r.Addr))
-	}
-}
-
-// RefBatch implements trace.BatchSink.
-func (s *classifySink) RefBatch(refs []trace.Ref) {
-	for i := range refs {
-		s.Ref(refs[i])
+// RefBlock implements trace.Sink.
+func (s *classifySink) RefBlock(b *trace.RefBlock) {
+	for _, addr := range b.Addr {
+		if s.cl.Access(addr) != cache.Hit {
+			s.tr.Observe(s.g.Set(addr))
+		}
 	}
 }
 

@@ -254,11 +254,12 @@ func TestPlanThroughSampler(t *testing.T) {
 		})
 	}
 	a, b := mk(), mk()
+	var blk trace.RefBlock
 	for i := 0; i < 20000; i++ {
-		r := trace.Ref{IP: 0x1000, Addr: uint64(i) * 4096}
-		a.Ref(r)
-		b.Ref(r)
+		blk.Append(trace.Ref{IP: 0x1000, Addr: uint64(i) * 4096})
 	}
+	a.RefBlock(&blk)
+	b.RefBlock(&blk)
 	if a.FaultDropped == 0 || a.FaultCorrupted == 0 {
 		t.Errorf("no faults recorded: dropped %d, corrupted %d", a.FaultDropped, a.FaultCorrupted)
 	}

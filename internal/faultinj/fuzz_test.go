@@ -60,9 +60,11 @@ func FuzzFaultPlan(f *testing.F) {
 					Geom: mem.L1Default(), Period: pmu.Fixed(7), Seed: seed,
 					Faults: plan.Injector(key),
 				})
+				var blk trace.RefBlock
 				for r := 0; r < 500; r++ {
-					s.Ref(trace.Ref{IP: 0x1000, Addr: uint64(r) * 4096})
+					blk.Append(trace.Ref{IP: 0x1000, Addr: uint64(r) * 4096})
 				}
+				s.RefBlock(&blk)
 				return len(s.Samples), nil
 			})
 		if rep == nil {

@@ -61,6 +61,12 @@ func (r *Registry) Handler() http.Handler {
 // requests before closing their connections.
 const shutdownTimeout = 5 * time.Second
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled connection cannot pin a server goroutine forever.
+// There is deliberately no whole-request ReadTimeout: without an
+// IdleTimeout it would also cut off idle keep-alive connections.
+const readHeaderTimeout = 10 * time.Second
+
 // Serve publishes the registry (under "ccprof") and serves Handler on addr
 // in a background goroutine. It returns the bound address (useful with
 // ":0") and a shutdown function that drains in-flight requests
@@ -95,7 +101,7 @@ func (r *Registry) serveOn(ln net.Listener, onErr func(error)) (string, func() e
 // serves h on ln in a background goroutine, reports server death through
 // onErr, and returns an idempotent graceful-shutdown func.
 func serveHandler(ln net.Listener, h http.Handler, onErr func(error)) (string, func() error, error) {
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	served := make(chan error, 1)
 	go func() {
 		err := srv.Serve(ln)

@@ -7,17 +7,19 @@ import (
 	"repro/internal/trace"
 )
 
-// Fused sample+classify block path. The per-reference path pays one
+// Fused sample+classify block path. A per-reference sampler would pay one
 // AccessHit call (set/tag decomposition, probe, LRU update) plus sampler
 // bookkeeping per access. The block path splits the work by frequency: the
 // cache classifies a whole struct-of-arrays block in one fused loop
 // (cache.BlockMisses), and the sampler then walks only the miss indices —
 // for the paper's workloads a few percent of references — applying the
-// exact event/period/burst state machine of the scalar path. Outcomes are
-// bit-identical: same events, same sample subsequence, same fault and drop
-// accounting.
+// exact event/period/burst state machine of the scalar PEBS model. That
+// scalar machine lives on in the tests as the oracle FuzzBlockEquivalence
+// holds this path to, at random block splits: same events, same sample
+// subsequence, same fault and drop accounting.
 
-// RefBlock implements trace.BlockSink: the fused fast path of the sampler.
+// RefBlock implements trace.Sink: it simulates each reference against the
+// private L1 and, on every period-th miss event, records a sample.
 func (s *Sampler) RefBlock(b *trace.RefBlock) {
 	addrs := b.Addr
 	s.Refs += uint64(len(addrs))

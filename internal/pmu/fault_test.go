@@ -64,9 +64,11 @@ func (s *scriptedInjector) OnSample(n uint64, sm Sample) (Sample, FaultAction) {
 // thrash streams n references that all miss (distinct lines cycling far
 // beyond L1 capacity), so every reference is a miss event.
 func thrash(s *Sampler, n int) {
-	for i := 0; i < n; i++ {
-		s.Ref(trace.Ref{IP: 0x400000, Addr: uint64(i) * 4096})
+	refs := make([]trace.Ref, n)
+	for i := range refs {
+		refs[i] = trace.Ref{IP: 0x400000, Addr: uint64(i) * 4096}
 	}
+	emitAll(s, refs)
 }
 
 func TestSamplerFaultInjection(t *testing.T) {

@@ -9,14 +9,41 @@ import (
 	"repro/internal/trace"
 )
 
-// FuzzBlockEquivalence drives the three delivery paths of the sampler —
-// per-reference Ref, batched RefBatch, and SoA RefBlock — with the same
-// randomized reference stream under a randomized configuration, and
-// requires bit-identical outcomes: the same event/ref counters and the
-// same sample subsequence. This is the load-bearing invariant of the fused
-// block path (the period-jump walk over cache.BlockMisses must replay the
-// exact scalar state machine), so it gets adversarial inputs, not just the
-// strided patterns of the unit tests.
+// ref is the scalar sampler state machine — the reference model of the
+// PEBS contract, one reference at a time: it simulates the reference
+// against the private L1 and, on every period-th miss event, records a
+// sample. The fused block path (RefBlock) must replay it exactly; it is
+// kept here as the oracle the tests hold that path to.
+func (s *Sampler) ref(r trace.Ref) {
+	s.Refs++
+	if s.l1.AccessHit(r.Addr) {
+		return
+	}
+	s.Events++
+	if s.burst > 0 {
+		s.burst--
+		s.deliver(r)
+		return
+	}
+	s.next--
+	if s.next > 0 {
+		return
+	}
+	s.next = s.drawPeriod()
+	if s.cfg.Burst > 1 {
+		s.burst = s.cfg.Burst - 1
+	}
+	s.deliver(r)
+}
+
+// FuzzBlockEquivalence drives the scalar oracle and the SoA RefBlock path
+// of the sampler with the same randomized reference stream under a
+// randomized configuration, delivering the block path at random block
+// splits, and requires bit-identical outcomes: the same event/ref counters
+// and the same sample subsequence. This is the load-bearing invariant of
+// the fused block path (the period-jump walk over cache.BlockMisses must
+// replay the exact scalar state machine), so it gets adversarial inputs,
+// not just the strided patterns of the unit tests.
 func FuzzBlockEquivalence(f *testing.F) {
 	f.Add(int64(1), uint(5000), uint(171), uint(1), uint(192), uint(6))
 	f.Add(int64(7), uint(20000), uint(13), uint(4), uint(64), uint(0))
@@ -26,7 +53,7 @@ func FuzzBlockEquivalence(f *testing.F) {
 		n = n%50000 + 1
 		period = period%500 + 1
 		burst = burst % 9
-		chunk := 1 << (chunkBits % 12) // 1 .. 2048, crossing block sizes
+		maxChunk := 1 << (chunkBits % 13) // 1 .. 4096, crossing block sizes
 		rng := rand.New(rand.NewSource(seed))
 
 		// A mix of strided and random traffic: strides drive conflict
@@ -50,40 +77,25 @@ func FuzzBlockEquivalence(f *testing.F) {
 
 		cfg := Config{Geom: mem.L1Default(), Period: Uniform(uint64(period)), Seed: seed, Burst: int(burst)}
 
-		perRef := NewSampler(cfg)
+		oracle := NewSampler(cfg)
 		for _, r := range refs {
-			perRef.Ref(r)
-		}
-
-		batched := NewSampler(cfg)
-		for lo := 0; lo < len(refs); lo += chunk {
-			hi := min(lo+chunk, len(refs))
-			batched.RefBatch(refs[lo:hi])
+			oracle.ref(r)
 		}
 
 		blocked := NewSampler(cfg)
-		var blk trace.RefBlock
-		for lo := 0; lo < len(refs); lo += chunk {
-			hi := min(lo+chunk, len(refs))
-			blk.Reset()
-			for _, r := range refs[lo:hi] {
-				blk.Append(r)
-			}
-			blocked.RefBlock(&blk)
+		for lo := 0; lo < len(refs); {
+			hi := min(lo+1+rng.Intn(maxChunk), len(refs))
+			feed(blocked, refs[lo:hi]...)
+			lo = hi
 		}
 
-		for _, alt := range []struct {
-			name string
-			s    *Sampler
-		}{{"batch", batched}, {"block", blocked}} {
-			if perRef.Events != alt.s.Events || perRef.Refs != alt.s.Refs {
-				t.Fatalf("%s path diverges: events %d vs %d, refs %d vs %d",
-					alt.name, perRef.Events, alt.s.Events, perRef.Refs, alt.s.Refs)
-			}
-			if !reflect.DeepEqual(perRef.Samples, alt.s.Samples) {
-				t.Fatalf("%s path: sample sequences diverge (%d vs %d samples)",
-					alt.name, len(perRef.Samples), len(alt.s.Samples))
-			}
+		if oracle.Events != blocked.Events || oracle.Refs != blocked.Refs {
+			t.Fatalf("block path diverges: events %d vs %d, refs %d vs %d",
+				oracle.Events, blocked.Events, oracle.Refs, blocked.Refs)
+		}
+		if !reflect.DeepEqual(oracle.Samples, blocked.Samples) {
+			t.Fatalf("block path: sample sequences diverge (%d vs %d samples)",
+				len(oracle.Samples), len(blocked.Samples))
 		}
 	})
 }

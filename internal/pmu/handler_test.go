@@ -9,8 +9,8 @@ import (
 
 // TestHandlerMatchesBuffered pins the sampler-level streaming contract: an
 // online Handler receives exactly the sample sequence the buffer would have
-// collected — same samples, same order, same counters — on both the per-ref
-// and the fused block delivery paths.
+// collected — same samples, same order, same counters — on the fused block
+// path, and the scalar oracle's handler sees the same sequence.
 func TestHandlerMatchesBuffered(t *testing.T) {
 	refs := make([]trace.Ref, 0, 60000)
 	for i := 0; i < 60000; i++ {
@@ -51,12 +51,12 @@ func TestHandlerMatchesBuffered(t *testing.T) {
 		}
 	}
 
-	// Per-ref delivery agrees too.
+	// The scalar oracle agrees too.
 	perRef := NewSampler(cfg)
 	var got2 []Sample
 	perRef.Handler = func(sm Sample) { got2 = append(got2, sm) }
 	for _, r := range refs {
-		perRef.Ref(r)
+		perRef.ref(r)
 	}
 	if len(got2) != len(got) {
 		t.Fatalf("per-ref handler received %d samples, block handler %d", len(got2), len(got))

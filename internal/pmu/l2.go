@@ -70,25 +70,27 @@ func NewL2Sampler(cfg L2Config) *L2Sampler {
 	return s
 }
 
-// Ref implements trace.Sink.
-func (s *L2Sampler) Ref(r trace.Ref) {
-	s.Refs++
-	// L1 is virtually indexed: look up with the virtual address.
-	if s.l1.Access(r.Addr).Hit {
-		return
+// RefBlock implements trace.Sink.
+func (s *L2Sampler) RefBlock(b *trace.RefBlock) {
+	for i, addr := range b.Addr {
+		s.Refs++
+		// L1 is virtually indexed: look up with the virtual address.
+		if s.l1.Access(addr).Hit {
+			continue
+		}
+		// L2 is physically indexed: translate first.
+		paddr := s.space.Translate(addr)
+		if s.l2.Access(paddr).Hit {
+			continue
+		}
+		s.Events++
+		s.next--
+		if s.next > 0 {
+			continue
+		}
+		s.next = s.cfg.Period.NextPeriod(s.rng)
+		s.Samples = append(s.Samples, PhysSample{IP: b.IP[i], VAddr: addr, PAddr: paddr})
 	}
-	// L2 is physically indexed: translate first.
-	paddr := s.space.Translate(r.Addr)
-	if s.l2.Access(paddr).Hit {
-		return
-	}
-	s.Events++
-	s.next--
-	if s.next > 0 {
-		return
-	}
-	s.next = s.cfg.Period.NextPeriod(s.rng)
-	s.Samples = append(s.Samples, PhysSample{IP: r.IP, VAddr: r.Addr, PAddr: paddr})
 }
 
 // L2MissRatio returns misses/accesses at the L2.

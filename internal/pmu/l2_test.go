@@ -24,7 +24,7 @@ func TestL2SamplerOnlyL2MissesCount(t *testing.T) {
 	// One line, accessed repeatedly: first ref misses L1+L2 (1 event),
 	// the rest hit L1.
 	for i := 0; i < 10; i++ {
-		s.Ref(trace.Ref{Addr: 0x100})
+		feed(s, trace.Ref{Addr: 0x100})
 	}
 	if s.Events != 1 {
 		t.Errorf("events = %d, want 1", s.Events)
@@ -44,9 +44,9 @@ func TestL2SamplerL1FilterShieldsL2(t *testing.T) {
 	a := uint64(0)
 	b := uint64(4 * 64) // same L1 set (4 sets), different L2 set (16 sets)
 	for i := 0; i < 20; i++ {
-		s.Ref(trace.Ref{Addr: a})
-		s.Ref(trace.Ref{Addr: b})
-		s.Ref(trace.Ref{Addr: a + 8*64}) // third line, same L1 set -> L1 thrash
+		feed(s, trace.Ref{Addr: a})
+		feed(s, trace.Ref{Addr: b})
+		feed(s, trace.Ref{Addr: a + 8*64}) // third line, same L1 set -> L1 thrash
 	}
 	if s.Events != 3 {
 		t.Errorf("L2 events = %d, want 3 cold only (L2 should absorb the L1 thrash)", s.Events)
@@ -55,7 +55,7 @@ func TestL2SamplerL1FilterShieldsL2(t *testing.T) {
 
 func TestL2SamplerIdentitySpacePhysEqualsVirt(t *testing.T) {
 	s := NewL2Sampler(l2cfg(Fixed(1), nil))
-	s.Ref(trace.Ref{IP: 7, Addr: 0xabc0})
+	feed(s, trace.Ref{IP: 7, Addr: 0xabc0})
 	if len(s.Samples) != 1 {
 		t.Fatal("no sample")
 	}
@@ -70,7 +70,7 @@ func TestL2SamplerTranslatesThroughSpace(t *testing.T) {
 	s := NewL2Sampler(l2cfg(Fixed(1), space))
 	// Touch a high virtual page; sequential allocation maps it to frame 0.
 	v := uint64(1000*vmem.PageSize + 0x40)
-	s.Ref(trace.Ref{Addr: v})
+	feed(s, trace.Ref{Addr: v})
 	sm := s.Samples[0]
 	if sm.VAddr != v {
 		t.Errorf("vaddr = %#x", sm.VAddr)
@@ -99,7 +99,7 @@ func TestPageColouringChangesL2Conflicts(t *testing.T) {
 		tr := rcd.New(l2.Sets)
 		for rep := 0; rep < 4; rep++ {
 			for row := 0; row < 64; row++ {
-				s.Ref(trace.Ref{Addr: uint64(row) * 256 * 1024})
+				feed(s, trace.Ref{Addr: uint64(row) * 256 * 1024})
 			}
 		}
 		for _, sm := range s.Samples {
@@ -120,7 +120,7 @@ func TestPageColouringChangesL2Conflicts(t *testing.T) {
 
 func TestL2MissRatio(t *testing.T) {
 	s := NewL2Sampler(l2cfg(Fixed(1), nil))
-	s.Ref(trace.Ref{Addr: 0})
+	feed(s, trace.Ref{Addr: 0})
 	if s.L2MissRatio() != 1 {
 		t.Errorf("L2 miss ratio = %g, want 1 after one cold miss", s.L2MissRatio())
 	}

@@ -14,7 +14,7 @@ func TestObserveInto(t *testing.T) {
 	refs := strideRefs(20000)
 	mk := func() *Sampler {
 		s := NewSampler(Config{Geom: mem.L1Default(), Period: Uniform(171), Seed: 3})
-		s.RefBatch(refs)
+		emitAll(s, refs)
 		return s
 	}
 	a, b := mk(), mk()
@@ -46,7 +46,7 @@ func TestObserveInto(t *testing.T) {
 func TestSamplerDropsAtMaxSamples(t *testing.T) {
 	refs := strideRefs(50000)
 	unbounded := NewSampler(Config{Geom: mem.L1Default(), Period: Uniform(171), Seed: 9})
-	unbounded.RefBatch(refs)
+	emitAll(unbounded, refs)
 	if unbounded.Dropped != 0 {
 		t.Fatalf("unbounded sampler dropped %d", unbounded.Dropped)
 	}
@@ -57,7 +57,7 @@ func TestSamplerDropsAtMaxSamples(t *testing.T) {
 
 	max := int(total / 2)
 	bounded := NewSampler(Config{Geom: mem.L1Default(), Period: Uniform(171), Seed: 9, MaxSamples: max})
-	bounded.RefBatch(refs)
+	emitAll(bounded, refs)
 	if len(bounded.Samples) != max {
 		t.Errorf("bounded buffer holds %d samples, want %d", len(bounded.Samples), max)
 	}

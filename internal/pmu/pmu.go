@@ -203,7 +203,7 @@ func (c Config) Validate() error {
 }
 
 // Sampler consumes a reference stream and produces address samples of
-// L1-miss events. It implements trace.Sink.
+// L1-miss events. It implements trace.Sink (see RefBlock).
 type Sampler struct {
 	cfg   Config
 	l1    *cache.Cache
@@ -270,46 +270,11 @@ func (s *Sampler) drawPeriod() uint64 {
 // F1 ≈ 0.83 at ~2.9x runtime overhead.
 const DefaultPeriod = 1212
 
-// Ref implements trace.Sink: it simulates the reference against the private
-// L1 and, on every period-th miss event, records a sample.
-func (s *Sampler) Ref(r trace.Ref) { s.ref(r) }
-
-// RefBatch implements trace.BatchSink: the whole slice is consumed in one
-// tight loop, so the per-reference cost is one concrete call on the private
-// L1 instead of an interface dispatch per access.
-func (s *Sampler) RefBatch(refs []trace.Ref) {
-	for i := range refs {
-		s.ref(refs[i])
-	}
-}
-
-func (s *Sampler) ref(r trace.Ref) {
-	s.Refs++
-	if s.l1.AccessHit(r.Addr) {
-		return
-	}
-	s.Events++
-	if s.burst > 0 {
-		s.burst--
-		s.deliver(r)
-		return
-	}
-	s.next--
-	if s.next > 0 {
-		return
-	}
-	s.next = s.drawPeriod()
-	if s.cfg.Burst > 1 {
-		s.burst = s.cfg.Burst - 1
-	}
-	s.deliver(r)
-}
-
 // Grow pre-extends the sample buffer to hold n more samples without
 // reallocation, eliminating append churn on the delivery path. Sweeps that
 // know their expected sample count (refs × miss ratio / period) reserve it
-// up front; the zero-alloc guarantee of the batch path is asserted in
-// BenchmarkSamplerBatch and TestSamplerBatchZeroAlloc.
+// up front; the zero-alloc guarantee of the block path is asserted in
+// TestSamplerBatchZeroAlloc and TestInstrumentedStreamZeroAlloc.
 func (s *Sampler) Grow(n int) {
 	if n <= 0 || cap(s.Samples)-len(s.Samples) >= n {
 		return

@@ -15,9 +15,11 @@ func g() mem.Geometry { return mem.MustGeometry(64, 4, 2) } // 8-line L1
 
 // missStream feeds n distinct lines (all cold misses) through s.
 func missStream(s *Sampler, n int) {
-	for i := 0; i < n; i++ {
-		s.Ref(trace.Ref{IP: uint64(i%7) + 100, Addr: uint64(i) * 64})
+	refs := make([]trace.Ref, n)
+	for i := range refs {
+		refs[i] = trace.Ref{IP: uint64(i%7) + 100, Addr: uint64(i) * 64}
 	}
+	emitAll(s, refs)
 }
 
 func TestFixedPeriodSamplesEveryNth(t *testing.T) {
@@ -43,9 +45,9 @@ func TestFixedPeriodSamplesEveryNth(t *testing.T) {
 
 func TestHitsDoNotCountAsEvents(t *testing.T) {
 	s := NewSampler(Config{Geom: g(), Period: Fixed(1), Seed: 1})
-	s.Ref(trace.Ref{Addr: 0}) // miss
+	feed(s, trace.Ref{Addr: 0}) // miss
 	for i := 0; i < 5; i++ {
-		s.Ref(trace.Ref{Addr: 0}) // hits
+		feed(s, trace.Ref{Addr: 0}) // hits
 	}
 	if s.Events != 1 {
 		t.Errorf("events = %d, want 1 (hits must not trigger)", s.Events)
@@ -60,7 +62,7 @@ func TestHitsDoNotCountAsEvents(t *testing.T) {
 
 func TestSamplesCarryIPAndAddr(t *testing.T) {
 	s := NewSampler(Config{Geom: g(), Period: Fixed(1), Seed: 1})
-	s.Ref(trace.Ref{IP: 0x401000, Addr: 0xbeef00})
+	feed(s, trace.Ref{IP: 0x401000, Addr: 0xbeef00})
 	if len(s.Samples) != 1 {
 		t.Fatalf("samples = %d, want 1", len(s.Samples))
 	}
@@ -202,10 +204,9 @@ func TestSamplesAreSubsequence(t *testing.T) {
 	s := NewSampler(Config{Geom: g(), Period: Uniform(3), Seed: 11})
 	var sent []trace.Ref
 	for i := 0; i < 1000; i++ {
-		r := trace.Ref{IP: uint64(i % 13), Addr: uint64(i*64) % 8192}
-		sent = append(sent, r)
-		s.Ref(r)
+		sent = append(sent, trace.Ref{IP: uint64(i % 13), Addr: uint64(i*64) % 8192})
 	}
+	emitAll(s, sent)
 	valid := map[Sample]bool{}
 	for _, r := range sent {
 		valid[Sample{IP: r.IP, Addr: r.Addr}] = true
@@ -217,11 +218,15 @@ func TestSamplesAreSubsequence(t *testing.T) {
 	}
 }
 
+// BenchmarkSamplerRef measures the sampler's cost per reference on the
+// production path: one Emitter.Ref per access, block delivery behind it.
 func BenchmarkSamplerRef(b *testing.B) {
 	s := NewSampler(Config{Geom: mem.L1Default(), Period: Uniform(DefaultPeriod), Seed: 1})
+	e := trace.NewEmitter(s)
 	for i := 0; i < b.N; i++ {
-		s.Ref(trace.Ref{IP: 1, Addr: uint64(i) * 64})
+		e.Ref(trace.Ref{IP: 1, Addr: uint64(i) * 64})
 	}
+	e.Flush()
 }
 
 func TestBurstSampling(t *testing.T) {
@@ -266,9 +271,11 @@ func TestBurstCapturesExactRCD(t *testing.T) {
 	geom := mem.L1Default()
 	conflictRing := func(s *Sampler) {
 		// 12 lines in set 0: every miss, consecutive misses all in set 0.
-		for i := 0; i < 60000; i++ {
-			s.Ref(trace.Ref{IP: 1, Addr: uint64(i%12) * 4096})
+		refs := make([]trace.Ref, 60000)
+		for i := range refs {
+			refs[i] = trace.Ref{IP: 1, Addr: uint64(i%12) * 4096}
 		}
+		emitAll(s, refs)
 	}
 	burst := NewSampler(Config{Geom: geom, Period: Uniform(1212), Seed: 2, Burst: 16})
 	conflictRing(burst)

@@ -8,15 +8,14 @@ import (
 	"io"
 )
 
-// Framed block trace format ("CCTB"), the streaming-profiler's on-disk and
-// on-wire representation of a reference stream.
+// Framed block trace format ("CCTB"), the only on-disk and on-wire
+// representation of a reference stream.
 //
-// The flat 17-byte format (CCT1) and the delta format (CCTZ) both force the
-// reader through one reference at a time and give it no way to resume
-// mid-stream: CCTZ deltas chain from the first reference, so byte N is
-// meaningless without bytes 0..N-1. The frame format keeps the delta
-// compression but resets it at every frame boundary, making each frame
-// independently decodable:
+// Reference streams are extremely regular (a handful of instruction
+// pointers, strided addresses), so each reference is delta-plus-varint
+// coded against its predecessor, several times smaller than a flat 17-byte
+// record. The deltas reset at every frame boundary, so each frame is
+// independently decodable and a reader can resume mid-stream:
 //
 //	header (16 bytes, fixed):
 //	    magic  "CCTB"            [4]byte
@@ -53,6 +52,12 @@ const frameHeaderBytes = 16
 // cannot make the reader allocate an absurd block.
 const maxFrameRefs = 1 << 20
 
+// zigzag maps signed deltas to unsigned varint-friendly values.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
 // maxRefEncoded is the worst-case encoded size of one reference: one flags
 // byte plus two maximal uvarints.
 const maxRefEncoded = 1 + 2*binary.MaxVarintLen64
@@ -61,7 +66,7 @@ const maxRefEncoded = 1 + 2*binary.MaxVarintLen64
 // the reader wraps them in.
 var (
 	// ErrBadFrameMagic reports a stream that is not a CCTB trace.
-	ErrBadFrameMagic = errors.New("trace: bad magic; not a framed CCProf trace")
+	ErrBadFrameMagic = errors.New("trace: bad magic; not a framed (CCTB) CCProf trace")
 	// ErrBadFrameVersion reports an unknown format version.
 	ErrBadFrameVersion = errors.New("trace: unsupported framed-trace version")
 	// ErrCorruptFrame reports a frame whose header or payload is
@@ -72,11 +77,10 @@ var (
 )
 
 // TraceWriter serializes a reference stream in the framed block format. It
-// implements Sink, BatchSink and BlockSink; references are staged into an
-// owned RefBlock and encoded one frame per full block, so the emitted frame
-// sizes are a function of the reference sequence and the configured block
-// size alone — never of the granularity the producer happened to deliver
-// in. Close flushes the final partial frame; encoding errors are sticky and
+// implements Sink; references are staged into an owned RefBlock and encoded
+// one frame per full block, so the emitted frame sizes are a function of
+// the reference sequence and the configured block size alone — never of the
+// granularity the producer happened to deliver in. Close flushes the final partial frame; encoding errors are sticky and
 // reported by Close.
 type TraceWriter struct {
 	bw    *bufio.Writer
@@ -124,33 +128,7 @@ func (tw *TraceWriter) header() bool {
 	return true
 }
 
-// Ref implements Sink.
-func (tw *TraceWriter) Ref(r Ref) {
-	if tw.blk.Len() == tw.size {
-		tw.flush()
-	}
-	tw.blk.Append(r)
-}
-
-// RefBatch implements BatchSink.
-func (tw *TraceWriter) RefBatch(refs []Ref) {
-	for len(refs) > 0 {
-		n := tw.size - tw.blk.Len()
-		if n == 0 {
-			tw.flush()
-			continue
-		}
-		if n > len(refs) {
-			n = len(refs)
-		}
-		for i := 0; i < n; i++ {
-			tw.blk.Append(refs[i])
-		}
-		refs = refs[n:]
-	}
-}
-
-// RefBlock implements BlockSink. The incoming block is re-staged through
+// RefBlock implements Sink. The incoming block is re-staged through
 // the writer's own buffer (not forwarded whole), keeping frame boundaries
 // independent of the producer's blocking.
 func (tw *TraceWriter) RefBlock(b *RefBlock) {
@@ -253,11 +231,12 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 		br = bufio.NewReader(r)
 	}
 	var h [frameHeaderBytes]byte
-	if _, err := io.ReadFull(br, h[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading framed header: %w", err)
+	n, err := io.ReadFull(br, h[:])
+	if n >= 4 && [4]byte(h[0:4]) != frameMagic {
+		return nil, ErrBadFrameMagic // even a file shorter than the header
 	}
-	if [4]byte(h[0:4]) != frameMagic {
-		return nil, ErrBadFrameMagic
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading framed header: %w", err)
 	}
 	if h[4] != frameVersion {
 		return nil, fmt.Errorf("%w %d", ErrBadFrameVersion, h[4])
@@ -367,8 +346,8 @@ func (tr *TraceReader) Next() (*RefBlock, error) {
 	return &tr.blk, nil
 }
 
-// Replay streams every remaining frame into sink (on its best delivery
-// path) and returns the number of references replayed.
+// Replay streams every remaining frame into sink, one block per frame, and
+// returns the number of references replayed.
 func (tr *TraceReader) Replay(sink Sink) (int, error) {
 	n := 0
 	for {
@@ -380,7 +359,7 @@ func (tr *TraceReader) Replay(sink Sink) (int, error) {
 			return n, err
 		}
 		n += blk.Len()
-		EmitBlock(sink, blk)
+		sink.RefBlock(blk)
 	}
 }
 

@@ -10,15 +10,17 @@ import (
 	"testing/quick"
 )
 
-// encodeFramed serializes refs with the given frame size and returns the
-// bytes.
+// encodeFramed serializes refs with the given frame size, delivering them
+// one reference at a time through an Emitter, and returns the bytes.
 func encodeFramed(t testing.TB, refs []Ref, size int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf, size)
+	e := NewEmitter(w)
 	for _, r := range refs {
-		w.Ref(r)
+		e.Ref(r)
 	}
+	e.Flush()
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -91,54 +93,55 @@ func TestFramedEmpty(t *testing.T) {
 }
 
 // Frame boundaries are a function of the reference sequence and block size
-// alone: delivering the same stream per-ref, batched, or in odd-sized blocks
-// must produce byte-identical output.
+// alone: delivering the same stream per-ref (through an Emitter), in odd
+// 333-ref blocks, or in DefaultBlock-sized blocks must produce
+// byte-identical output.
 func TestFramedEncodingIndependentOfDelivery(t *testing.T) {
 	refs := stridedRefs(1000)
 	want := encodeFramed(t, refs, 256)
 
-	var batched bytes.Buffer
-	bw := NewTraceWriter(&batched, 256)
-	bw.RefBatch(refs[:500])
-	bw.RefBatch(refs[500:])
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(batched.Bytes(), want) {
-		t.Error("batch delivery changed the encoding")
-	}
-
-	var blocked bytes.Buffer
-	cw := NewTraceWriter(&blocked, 256)
-	var blk RefBlock
-	for lo := 0; lo < len(refs); lo += 333 {
-		hi := lo + 333
-		if hi > len(refs) {
-			hi = len(refs)
+	for _, n := range []int{333, DefaultBlock} {
+		var blocked bytes.Buffer
+		w := NewTraceWriter(&blocked, 256)
+		feedBlocks(w, refs, n)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
-		blk.Reset()
-		blk.AppendRefs(refs[lo:hi])
-		cw.RefBlock(&blk)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blocked.Bytes(), want) {
-		t.Error("block delivery changed the encoding")
+		if !bytes.Equal(blocked.Bytes(), want) {
+			t.Errorf("delivery in %d-ref blocks changed the encoding", n)
+		}
 	}
 }
 
-func TestFramedReadAnySniffs(t *testing.T) {
-	refs := stridedRefs(10)
-	var got []Ref
-	n, err := ReadAny(bytes.NewReader(encodeFramed(t, refs, 4)), SinkFunc(func(r Ref) { got = append(got, r) }))
-	if err != nil || n != len(refs) {
-		t.Fatalf("ReadAny: n=%d err=%v", n, err)
+// A realistic kernel trace (one hot IP, strided addresses) must encode far
+// below a flat 17-byte record per reference.
+func TestCompressionRatioOnStridedTrace(t *testing.T) {
+	var refs []Ref
+	for i := 0; i < 10000; i++ {
+		refs = append(refs, Ref{IP: 0x401000, Addr: 0x10_0000 + uint64(i)*64})
 	}
+	enc := encodeFramed(t, refs, 0)
+	if flat := 4 + 17*len(refs); len(enc)*4 > flat {
+		t.Errorf("framed %d bytes vs flat %d; want at least 4x smaller", len(enc), flat)
+	}
+	// And it round-trips.
+	got := decodeFramed(t, enc)
 	for i := range refs {
 		if got[i] != refs[i] {
 			t.Fatalf("ref %d mismatch", i)
 		}
+	}
+}
+
+func TestZigzag(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40), -1 << 62} {
+		if got := unzigzag(zigzag(v)); got != v {
+			t.Errorf("zigzag round trip of %d = %d", v, got)
+		}
+	}
+	// Small magnitudes map to small codes (the varint-friendliness).
+	if zigzag(-1) != 1 || zigzag(1) != 2 || zigzag(0) != 0 {
+		t.Error("zigzag code order wrong")
 	}
 }
 
@@ -344,8 +347,9 @@ func TestFramedReaderSteadyStateAllocs(t *testing.T) {
 
 // FuzzTraceRoundTrip hardens the framed codec: whatever bytes parse must
 // decode → re-encode → decode to the identical reference stream with
-// bit-identical re-encoded bytes, and malformed input must be rejected with
-// an error, never a panic.
+// bit-identical re-encoded bytes, and malformed input — the retired flat
+// (CCT1) and delta (CCTZ) formats included — must be rejected with an
+// error, never a panic.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(encodeFramed(f, stridedRefs(10), 4), 4)
 	f.Add(encodeFramed(f, stridedRefs(300), 128), 128)
@@ -353,6 +357,20 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte("CCTB"), 1)
 	f.Add([]byte("CCTB\x01\x00\x00\x00\x10\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x01\x00\x00\x00"), 2)
 	f.Add([]byte{}, 3)
+	// Legacy seeds: two references {IP 1, Addr 64, read} and {IP 2,
+	// Addr 128, write} as 17-byte CCT1 records and as CCTZ deltas, plus
+	// the bare and truncated headers.
+	cct1 := []byte("CCT1")
+	cct1 = binary.LittleEndian.AppendUint64(cct1, 1)
+	cct1 = binary.LittleEndian.AppendUint64(cct1, 64)
+	cct1 = append(cct1, 0)
+	cct1 = binary.LittleEndian.AppendUint64(cct1, 2)
+	cct1 = binary.LittleEndian.AppendUint64(cct1, 128)
+	cct1 = append(cct1, 1)
+	f.Add(cct1, 5)
+	f.Add([]byte("CCTZ\x00\x02\x80\x01\x01\x02\x80\x01"), 6)
+	f.Add([]byte("CCT1"), 7)
+	f.Add([]byte("CCTZ\x01\x02"), 8)
 
 	f.Fuzz(func(t *testing.T, data []byte, size int) {
 		size %= 4096
@@ -411,8 +429,14 @@ func TestJSONLDecode(t *testing.T) {
 
 func TestJSONLRejectsNonJSON(t *testing.T) {
 	input := "{\"ip\":1,\"addr\":2}\nthis is not json\n"
-	if _, _, err := ReadJSONL(bytes.NewReader([]byte(input)), Discard); err == nil {
+	var rec Recorder
+	refs, _, err := ReadJSONL(bytes.NewReader([]byte(input)), &rec)
+	if err == nil {
 		t.Error("non-JSON line should error")
+	}
+	// The reference decoded before the bad line still reaches the sink.
+	if refs != 1 || rec.Len() != 1 || rec.Refs[0] != (Ref{IP: 1, Addr: 2}) {
+		t.Errorf("before the bad line: refs=%d delivered=%v, want the one good reference", refs, rec.Refs)
 	}
 	if _, _, err := ReadJSONL(bytes.NewReader([]byte(`{"addr":"0xzz"}`)), Discard); err == nil {
 		t.Error("unparsable hex should error")

@@ -1,37 +1,7 @@
 package trace
 
-// Interleave merges per-thread reference streams into a single stream by
-// visiting threads round-robin with the given chunk size (references taken
-// from one thread before moving to the next). It approximates the memory
-// traffic a shared cache level observes when several hardware threads run
-// the same kernel on disjoint partitions, which is how the parallel
-// experiments (Table 3) drive the shared LLC.
-//
-// A chunk size <= 0 is treated as 1 (perfectly fine-grained interleaving).
-func Interleave(streams [][]Ref, chunk int, sink Sink) {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	pos := make([]int, len(streams))
-	for {
-		progressed := false
-		for t, s := range streams {
-			end := pos[t] + chunk
-			if end > len(s) {
-				end = len(s)
-			}
-			for ; pos[t] < end; pos[t]++ {
-				sink.Ref(s[pos[t]])
-				progressed = true
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
-// ThreadedRecorder collects one stream per thread, for later interleaving.
+// ThreadedRecorder collects one stream per thread, for later interleaving
+// into a shared cache hierarchy (see cache.System.Interleave).
 type ThreadedRecorder struct {
 	Streams [][]Ref
 }

@@ -95,8 +95,11 @@ func (rec *jsonlRecord) ref() (Ref, bool) {
 // ReadJSONL streams a perf-script-style JSONL trace from r into sink. It
 // returns the number of references delivered and the number of well-formed
 // lines skipped for lacking a data address. A line that is not valid JSON
-// aborts with an error naming the line number.
+// aborts with an error naming the line number; the references decoded
+// before it are still delivered.
 func ReadJSONL(r io.Reader, sink Sink) (refs, skipped int, err error) {
+	e := NewEmitter(sink)
+	defer e.Flush()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
@@ -115,7 +118,7 @@ func ReadJSONL(r io.Reader, sink Sink) (refs, skipped int, err error) {
 			skipped++
 			continue
 		}
-		sink.Ref(ref)
+		e.Ref(ref)
 		refs++
 	}
 	if err := sc.Err(); err != nil {

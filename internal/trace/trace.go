@@ -1,20 +1,16 @@
 // Package trace defines the memory-reference stream that connects workloads
 // to the cache simulator and the simulated PMU.
 //
-// A workload emits one Ref per dynamic memory access into a Sink. Sinks
-// compose: a counter, a recorder, a cache simulator, and a PMU sampler all
-// implement Sink, and Tee fans a stream out to several of them. Traces can
-// also be serialized to an io.Writer and replayed later, mirroring the
-// Pin-trace → Dinero IV flow the paper uses for its ground truth.
+// A workload emits one Ref per dynamic memory access into an Emitter, which
+// stages the stream into struct-of-arrays RefBlocks and hands each full
+// block to a Sink. Sinks compose: a counter, a recorder, a cache simulator,
+// and a PMU sampler all implement Sink, and Tee fans a stream out to several
+// of them. Traces can also be serialized to an io.Writer in the framed CCTB
+// format and replayed later, mirroring the Pin-trace → Dinero IV flow the
+// paper uses for its ground truth.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Ref is a single dynamic memory reference: the instruction pointer of the
 // access (a synthetic address in an objfile.Binary), the effective data
@@ -33,21 +29,32 @@ func (r Ref) String() string {
 	return fmt.Sprintf("%s ip=%#x addr=%#x", k, r.IP, r.Addr)
 }
 
-// Sink consumes a stream of memory references.
+// Sink consumes a stream of memory references, one struct-of-arrays block
+// at a time. The block is only valid for the duration of the call and is
+// reused by the producer: implementations must not retain or modify it.
 type Sink interface {
-	Ref(Ref)
+	RefBlock(b *RefBlock)
 }
 
-// SinkFunc adapts a function to the Sink interface.
+// SinkFunc adapts a per-reference function to the Sink interface: each
+// block is delivered to f one reference at a time, in order.
 type SinkFunc func(Ref)
 
-// Ref implements Sink by calling f.
-func (f SinkFunc) Ref(r Ref) { f(r) }
+// RefBlock implements Sink by calling f on every reference of b.
+func (f SinkFunc) RefBlock(b *RefBlock) {
+	for i := range b.Addr {
+		f(b.Ref(i))
+	}
+}
 
 // Discard is a Sink that drops every reference. It is useful for measuring
 // the bare cost of running a workload's loop nest (the "no profiling"
-// baseline in overhead experiments). It consumes batches natively.
+// baseline in overhead experiments).
 var Discard Sink = discardSink{}
+
+type discardSink struct{}
+
+func (discardSink) RefBlock(*RefBlock) {}
 
 // Counter counts references flowing through it. The zero value is ready.
 type Counter struct {
@@ -55,20 +62,21 @@ type Counter struct {
 	Writes uint64
 }
 
-// Ref implements Sink.
-func (c *Counter) Ref(r Ref) {
-	if r.Write {
-		c.Writes++
-	} else {
-		c.Reads++
+// RefBlock implements Sink.
+func (c *Counter) RefBlock(b *RefBlock) {
+	var w uint64
+	for _, fl := range b.Flags {
+		w += uint64(fl & FlagWrite)
 	}
+	c.Writes += w
+	c.Reads += uint64(len(b.Flags)) - w
 }
 
 // Total returns reads + writes.
 func (c *Counter) Total() uint64 { return c.Reads + c.Writes }
 
-// Tee returns a Sink that forwards every reference to each of sinks in
-// order. A nil entry is skipped.
+// Tee returns a Sink that forwards every block to each of sinks in order.
+// A nil entry is skipped.
 func Tee(sinks ...Sink) Sink {
 	compact := make([]Sink, 0, len(sinks))
 	for _, s := range sinks {
@@ -84,9 +92,9 @@ func Tee(sinks ...Sink) Sink {
 
 type teeSink []Sink
 
-func (t teeSink) Ref(r Ref) {
+func (t teeSink) RefBlock(b *RefBlock) {
 	for _, s := range t {
-		s.Ref(r)
+		s.RefBlock(b)
 	}
 }
 
@@ -97,33 +105,14 @@ type Recorder struct {
 	Refs []Ref
 }
 
-// Ref implements Sink.
-func (rec *Recorder) Ref(r Ref) { rec.Refs = append(rec.Refs, r) }
-
-// Replay feeds the recorded stream into sink, as one batch when sink
-// supports batch delivery.
-func (rec *Recorder) Replay(sink Sink) {
-	Emit(sink, rec.Refs)
-}
+// RefBlock implements Sink.
+func (rec *Recorder) RefBlock(b *RefBlock) { rec.Refs = b.AppendTo(rec.Refs) }
 
 // Len returns the number of recorded references.
 func (rec *Recorder) Len() int { return len(rec.Refs) }
 
 // Reset discards all recorded references but keeps the backing storage.
 func (rec *Recorder) Reset() { rec.Refs = rec.Refs[:0] }
-
-// Filter forwards only references satisfying Keep to Next.
-type Filter struct {
-	Keep func(Ref) bool
-	Next Sink
-}
-
-// Ref implements Sink.
-func (f Filter) Ref(r Ref) {
-	if f.Keep(r) {
-		f.Next.Ref(r)
-	}
-}
 
 // Limit forwards at most N references to Next, then drops the rest. It
 // models truncated trace collection.
@@ -134,118 +123,15 @@ type Limit struct {
 	seen uint64
 }
 
-// Ref implements Sink.
-func (l *Limit) Ref(r Ref) {
-	if l.seen < l.N {
-		l.seen++
-		l.Next.Ref(r)
-	}
-}
-
-// traceMagic guards serialized trace files against misuse.
-var traceMagic = [4]byte{'C', 'C', 'T', '1'}
-
-var errBadMagic = errors.New("trace: bad magic; not a CCProf trace")
-
-// refBytes is the serialized size of one reference: 8 bytes IP, 8 bytes
-// address, 1 write flag, all little-endian.
-const refBytes = 17
-
-// Writer serializes a reference stream to an io.Writer in a compact binary
-// format (magic, then 17 bytes per reference). Close flushes buffered data.
-type Writer struct {
-	bw      *bufio.Writer
-	err     error
-	wrote   bool
-	scratch []byte // batch/block encoding buffer, reused across calls
-}
-
-// encodeStart emits the header if needed and returns a scratch buffer sized
-// for n references. It returns nil if the header write failed (sticky error).
-func (w *Writer) encodeStart(n int) []byte {
-	if !w.wrote {
-		if _, err := w.bw.Write(traceMagic[:]); err != nil {
-			w.err = err
-			return nil
-		}
-		w.wrote = true
-	}
-	need := n * refBytes
-	if cap(w.scratch) < need {
-		w.scratch = make([]byte, need)
-	}
-	return w.scratch[:need]
-}
-
-// NewWriter returns a Writer emitting to w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w)}
-}
-
-// Ref implements Sink; encoding errors are sticky and reported by Close.
-func (w *Writer) Ref(r Ref) {
-	if w.err != nil {
+// RefBlock implements Sink: the block that crosses the limit is forwarded
+// truncated to the references still allowed.
+func (l *Limit) RefBlock(b *RefBlock) {
+	if l.seen >= l.N {
 		return
 	}
-	if !w.wrote {
-		if _, err := w.bw.Write(traceMagic[:]); err != nil {
-			w.err = err
-			return
-		}
-		w.wrote = true
+	if left := l.N - l.seen; uint64(b.Len()) > left {
+		b = &RefBlock{IP: b.IP[:left], Addr: b.Addr[:left], Flags: b.Flags[:left]}
 	}
-	var buf [17]byte
-	binary.LittleEndian.PutUint64(buf[0:8], r.IP)
-	binary.LittleEndian.PutUint64(buf[8:16], r.Addr)
-	if r.Write {
-		buf[16] = 1
-	}
-	if _, err := w.bw.Write(buf[:]); err != nil {
-		w.err = err
-	}
-}
-
-// Close flushes the stream and returns the first error encountered, if any.
-// Closing an empty writer still emits the header so the file is readable.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.wrote {
-		if _, err := w.bw.Write(traceMagic[:]); err != nil {
-			return err
-		}
-		w.wrote = true
-	}
-	return w.bw.Flush()
-}
-
-// ReadAll replays a serialized trace from r into sink and returns the number
-// of references replayed.
-func ReadAll(r io.Reader, sink Sink) (int, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return 0, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if magic != traceMagic {
-		return 0, errBadMagic
-	}
-	var buf [17]byte
-	n := 0
-	for {
-		_, err := io.ReadFull(br, buf[:])
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, fmt.Errorf("trace: reading ref %d: %w", n, err)
-		}
-		sink.Ref(Ref{
-			IP:    binary.LittleEndian.Uint64(buf[0:8]),
-			Addr:  binary.LittleEndian.Uint64(buf[8:16]),
-			Write: buf[16] != 0,
-		})
-		n++
-	}
+	l.seen += uint64(b.Len())
+	l.Next.RefBlock(b)
 }

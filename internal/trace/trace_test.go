@@ -2,9 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRefString(t *testing.T) {
@@ -20,9 +20,7 @@ func TestRefString(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Ref(Ref{})
-	c.Ref(Ref{Write: true})
-	c.Ref(Ref{})
+	c.RefBlock(blockOf(Ref{}, Ref{Write: true}, Ref{}))
 	if c.Reads != 2 || c.Writes != 1 || c.Total() != 3 {
 		t.Errorf("counter = %+v", c)
 	}
@@ -31,8 +29,7 @@ func TestCounter(t *testing.T) {
 func TestTee(t *testing.T) {
 	var a, b Counter
 	s := Tee(&a, nil, &b)
-	s.Ref(Ref{})
-	s.Ref(Ref{Write: true})
+	s.RefBlock(blockOf(Ref{}, Ref{Write: true}))
 	if a.Total() != 2 || b.Total() != 2 {
 		t.Errorf("tee fanout failed: a=%d b=%d", a.Total(), b.Total())
 	}
@@ -45,216 +42,60 @@ func TestTeeSingleSinkShortCircuit(t *testing.T) {
 	}
 }
 
-func TestRecorderReplay(t *testing.T) {
-	var rec Recorder
-	refs := []Ref{{IP: 1, Addr: 2}, {IP: 3, Addr: 4, Write: true}}
-	for _, r := range refs {
-		rec.Ref(r)
-	}
-	if rec.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", rec.Len())
-	}
-	var got []Ref
-	rec.Replay(SinkFunc(func(r Ref) { got = append(got, r) }))
-	for i := range refs {
-		if got[i] != refs[i] {
-			t.Errorf("replay[%d] = %v, want %v", i, got[i], refs[i])
-		}
-	}
-	rec.Reset()
-	if rec.Len() != 0 {
-		t.Error("Reset did not clear recorder")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	var c Counter
-	f := Filter{Keep: func(r Ref) bool { return r.Write }, Next: &c}
-	f.Ref(Ref{})
-	f.Ref(Ref{Write: true})
-	if c.Total() != 1 || c.Writes != 1 {
-		t.Errorf("filter passed %d refs, want 1 write", c.Total())
-	}
-}
-
 func TestLimit(t *testing.T) {
 	var c Counter
-	l := Limit{N: 3, Next: &c}
+	e := NewEmitter(&Limit{N: 3, Next: &c})
 	for i := 0; i < 10; i++ {
-		l.Ref(Ref{})
+		e.Ref(Ref{})
 	}
+	e.Flush()
 	if c.Total() != 3 {
 		t.Errorf("limit passed %d, want 3", c.Total())
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	f := func(ips, addrs []uint64, writes []bool) bool {
-		n := len(ips)
-		if len(addrs) < n {
-			n = len(addrs)
-		}
-		if len(writes) < n {
-			n = len(writes)
-		}
-		in := make([]Ref, n)
-		for i := 0; i < n; i++ {
-			in[i] = Ref{IP: ips[i], Addr: addrs[i], Write: writes[i]}
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, r := range in {
-			w.Ref(r)
-		}
-		if err := w.Close(); err != nil {
-			return false
-		}
-		var out []Ref
-		cnt, err := ReadAll(&buf, SinkFunc(func(r Ref) { out = append(out, r) }))
-		if err != nil || cnt != n {
-			return false
-		}
-		for i := range in {
-			if in[i] != out[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadAllEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ReadAll(&buf, Discard)
-	if err != nil || n != 0 {
-		t.Errorf("empty trace: n=%d err=%v", n, err)
-	}
-}
-
+// TestReadAllBadMagic: the framed reader is the only trace reader, so the
+// retired flat (CCT1) and delta (CCTZ) formats, like any other foreign
+// bytes, must be refused with the typed magic error before a single
+// reference is delivered.
 func TestReadAllBadMagic(t *testing.T) {
-	if _, err := ReadAll(strings.NewReader("NOPE....."), Discard); err == nil {
-		t.Error("bad magic should error")
-	}
-}
-
-func TestReadAllTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Ref(Ref{IP: 1})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadAll(bytes.NewReader(trunc), Discard); err == nil {
-		t.Error("truncated trace should error")
-	}
-}
-
-func TestInterleaveRoundRobin(t *testing.T) {
-	streams := [][]Ref{
-		{{Addr: 1}, {Addr: 2}, {Addr: 3}},
-		{{Addr: 10}, {Addr: 20}},
-	}
-	var got []uint64
-	Interleave(streams, 1, SinkFunc(func(r Ref) { got = append(got, r.Addr) }))
-	want := []uint64{1, 10, 2, 20, 3}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
+	flat := append([]byte("CCT1"), make([]byte, 2*17)...)
+	for name, data := range map[string][]byte{
+		"CCT1": flat,
+		"CCTZ": []byte("CCTZ\x01\x02\x80\x01\x00\x04\x08"),
+		"junk": []byte("NOPE............."),
+	} {
+		var c Counter
+		n, err := ReadAllFramed(bytes.NewReader(data), &c)
+		if !errors.Is(err, ErrBadFrameMagic) || n != 0 || c.Total() != 0 {
+			t.Errorf("%s: n=%d delivered=%d err=%v, want ErrBadFrameMagic and nothing delivered", name, n, c.Total(), err)
 		}
 	}
-}
-
-func TestInterleaveChunked(t *testing.T) {
-	streams := [][]Ref{
-		{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}},
-		{{Addr: 10}, {Addr: 20}},
-	}
-	var got []uint64
-	Interleave(streams, 2, SinkFunc(func(r Ref) { got = append(got, r.Addr) }))
-	want := []uint64{1, 2, 10, 20, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestInterleaveZeroChunk(t *testing.T) {
-	streams := [][]Ref{{{Addr: 1}}, {{Addr: 2}}}
-	var c Counter
-	Interleave(streams, 0, &c) // must not loop forever and must treat as 1
-	if c.Total() != 2 {
-		t.Errorf("passed %d refs, want 2", c.Total())
-	}
-}
-
-// Property: interleaving preserves per-thread order and total count.
-func TestInterleavePreservesOrder(t *testing.T) {
-	f := func(lens []uint8, chunk uint8) bool {
-		if len(lens) > 8 {
-			lens = lens[:8]
-		}
-		streams := make([][]Ref, len(lens))
-		total := 0
-		for t := range streams {
-			n := int(lens[t]) % 50
-			total += n
-			for i := 0; i < n; i++ {
-				// Encode (thread, seq) in the address.
-				streams[t] = append(streams[t], Ref{Addr: uint64(t)<<32 | uint64(i)})
-			}
-		}
-		lastSeq := make([]int64, len(streams))
-		for i := range lastSeq {
-			lastSeq[i] = -1
-		}
-		count := 0
-		ok := true
-		Interleave(streams, int(chunk)%5, SinkFunc(func(r Ref) {
-			count++
-			th := int(r.Addr >> 32)
-			seq := int64(r.Addr & 0xffffffff)
-			if seq != lastSeq[th]+1 {
-				ok = false
-			}
-			lastSeq[th] = seq
-		}))
-		return ok && count == total
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if !strings.Contains(ErrBadFrameMagic.Error(), "framed (CCTB)") {
+		t.Errorf("ErrBadFrameMagic = %q, want it to name the framed format", ErrBadFrameMagic)
 	}
 }
 
 func TestThreadedRecorder(t *testing.T) {
 	tr := NewThreadedRecorder(2)
-	tr.Thread(0).Ref(Ref{Addr: 1})
-	tr.Thread(1).Ref(Ref{Addr: 2})
-	tr.Thread(0).Ref(Ref{Addr: 3})
+	tr.Thread(0).RefBlock(blockOf(Ref{Addr: 1}))
+	tr.Thread(1).RefBlock(blockOf(Ref{Addr: 2}))
+	tr.Thread(0).RefBlock(blockOf(Ref{Addr: 3}))
 	if tr.Total() != 3 {
 		t.Errorf("Total = %d, want 3", tr.Total())
 	}
-	if len(tr.Streams[0]) != 2 || len(tr.Streams[1]) != 1 {
-		t.Errorf("per-thread lengths: %d, %d", len(tr.Streams[0]), len(tr.Streams[1]))
+	if len(tr.Streams[0]) != 2 || len(tr.Streams[1]) != 1 || tr.Streams[0][1].Addr != 3 {
+		t.Errorf("per-thread streams: %v, %v", tr.Streams[0], tr.Streams[1])
 	}
 }
 
+// BenchmarkSinkDispatch measures the cost of one block delivery through a
+// Tee: the per-block dispatch overhead every Sink stage adds.
 func BenchmarkSinkDispatch(b *testing.B) {
 	var c Counter
 	s := Tee(&c, Discard)
-	r := Ref{IP: 1, Addr: 2}
+	blk := blockOf(Ref{IP: 1, Addr: 2})
 	for i := 0; i < b.N; i++ {
-		s.Ref(r)
+		s.RefBlock(blk)
 	}
 }

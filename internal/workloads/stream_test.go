@@ -48,20 +48,11 @@ func (p *streamPrint) add(ip, addr uint64, write bool) {
 	p.count++
 }
 
-// Ref makes a streamPrint a plain trace.Sink.
+// Ref is the per-reference view a trace.SinkFunc adapts.
 func (p *streamPrint) Ref(r trace.Ref) { p.add(r.IP, r.Addr, r.Write) }
 
-// batchPrint and blockPrint add the batch and block consumer shapes.
-type (
-	batchPrint struct{ streamPrint }
-	blockPrint struct{ streamPrint }
-)
-
-func (s *batchPrint) RefBatch(refs []trace.Ref) {
-	for _, r := range refs {
-		s.Ref(r)
-	}
-}
+// blockPrint consumes the blocks directly.
+type blockPrint struct{ streamPrint }
 
 func (s *blockPrint) RefBlock(b *trace.RefBlock) {
 	for i, a := range b.Addr {
@@ -76,7 +67,6 @@ var streamSinks = []struct {
 	make func() (trace.Sink, *streamPrint)
 }{
 	{"SinkFunc", func() (trace.Sink, *streamPrint) { p := newStreamPrint(); return trace.SinkFunc(p.Ref), p }},
-	{"BatchSink", func() (trace.Sink, *streamPrint) { s := &batchPrint{*newStreamPrint()}; return s, &s.streamPrint }},
 	{"BlockSink", func() (trace.Sink, *streamPrint) { s := &blockPrint{*newStreamPrint()}; return s, &s.streamPrint }},
 }
 
@@ -121,8 +111,8 @@ func streamPrints(t *testing.T, mk func() (trace.Sink, *streamPrint)) []string {
 
 // TestStreamFingerprints pins every workload's reference stream: the count
 // and FNV-1a-64 of each (program, threads, tid) stream must match the table
-// in testdata/streams.golden through a plain SinkFunc, a batch-only sink and
-// a block sink alike. Any change to a kernel's emitted sequence, or to how
+// in testdata/streams.golden through a per-reference SinkFunc and a block
+// sink alike. Any change to a kernel's emitted sequence, or to how
 // RunThread stages and delivers it, shows here. Regenerate with
 // "go test ./internal/workloads -run TestStreamFingerprints -args -update"
 // only when a kernel's stream is meant to change.

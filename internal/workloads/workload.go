@@ -76,18 +76,17 @@ type Program struct {
 }
 
 // NewProgram assembles a Program from its parts. run receives the thread id
-// and thread count and must emit that thread's partition of the work; it is
-// how user code (see examples/custom-workload) plugs its own kernels into
-// the profiler. The sink run receives is the thread's trace.Emitter, behind
-// the Sink interface, so user kernels pay one dynamic call per reference
-// where the built-in kernels bind the emitter statically.
+// and thread count and must emit that thread's partition of the work, one
+// sink.Ref call per memory access; it is how user code (see
+// examples/custom-workload) plugs its own kernels into the profiler. sink
+// is the thread's trace.Emitter, the same concrete staging buffer the
+// built-in kernels write into.
 func NewProgram(name string, bin *objfile.Binary, ar *alloc.Arena,
-	run func(tid, threads int, sink trace.Sink)) *Program {
+	run func(tid, threads int, sink *trace.Emitter)) *Program {
 	if bin == nil || ar == nil || run == nil {
 		panic("workloads: NewProgram with nil component")
 	}
-	return &Program{Name: name, Binary: bin, Arena: ar,
-		runThread: func(tid, threads int, sink *trace.Emitter) { run(tid, threads, sink) }}
+	return &Program{Name: name, Binary: bin, Arena: ar, runThread: run}
 }
 
 // emitters recycles staging emitters across RunThread calls. An emitter
@@ -103,13 +102,11 @@ func (p *Program) Run(sink trace.Sink) { p.RunThread(0, 1, sink) }
 // with no work emits nothing.
 //
 // The kernel writes into a pooled trace.Emitter, which hands sink the
-// stream in fixed-size struct-of-arrays blocks through trace.EmitBlock:
-// block sinks (the replay fast path) take each block in one call, batch
-// sinks get it as a []trace.Ref, and plain sinks (including trace.SinkFunc
-// adapters) get one Ref call per reference. The delivered sequence is the
-// same on every path; references reach sink a block at a time, after the
-// kernel has moved on, never interleaved with its execution. The run's
-// stream statistics merge into obs.Default once, at the end.
+// stream in fixed-size struct-of-arrays blocks, one RefBlock call each
+// (a trace.SinkFunc adapter unrolls them into one call per reference).
+// References reach sink a block at a time, after the kernel has moved on,
+// never interleaved with its execution. The run's stream statistics merge
+// into obs.Default once, at the end.
 func (p *Program) RunThread(tid, threads int, sink trace.Sink) {
 	if threads < 1 {
 		threads = 1
