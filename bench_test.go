@@ -457,6 +457,33 @@ func BenchmarkStreamingProfile(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileProgram measures the online phase as `ccprof nw` runs it:
+// core.ProfileProgram of NW at default scale and its recommended period,
+// the kernel emitting on one goroutine while the L1 model and the sampler
+// consume its blocks on another. ns/ref is the wall-clock cost per
+// reference of the overlapped run; -benchmem reports what a warm profile
+// allocates (the samples it copies out, not the stream).
+func BenchmarkProfileProgram(b *testing.B) {
+	cs, err := workloads.Get("nw")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.ProfileOptions{Period: pmu.Uniform(cs.ProfilePeriod), Seed: 42, NoTime: true}
+	prof, err := core.ProfileProgram(cs.Original, opts) // materialize the values, warm the pools
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ProfileProgram(cs.Original, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*prof.Refs), "ns/ref")
+	b.ReportMetric(float64(prof.Refs), "refs/op")
+}
+
 // savedProfile is a profile as `ccprof -profile-out` writes it, with the
 // program whose binary and arena analyze it.
 type savedProfile struct {

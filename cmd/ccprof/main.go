@@ -101,6 +101,9 @@ func main() {
 	if *jobs < 0 {
 		usageError(fmt.Sprintf("invalid -j %d: worker count cannot be negative", *jobs))
 	}
+	if *threads > core.MaxThreads {
+		usageError(fmt.Sprintf("invalid -threads %d: at most %d", *threads, core.MaxThreads))
+	}
 	var faults *faultinj.Plan
 	if *faultDrop != 0 {
 		faults = &faultinj.Plan{Seed: *faultSeed, DropRate: *faultDrop}

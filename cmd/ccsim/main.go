@@ -50,48 +50,53 @@ func main() {
 		}
 	})}
 
+	if *traceIn == "" && *workload == "" {
+		fmt.Fprintln(os.Stderr, "ccsim: need -trace FILE or -workload NAME")
+		flag.Usage()
+		os.Exit(2)
+	}
+	// The dump appears at its path only after a complete replay: fail
+	// removes the unfinished trace before exiting.
+	var out *trace.TraceFile
+	fail := func(err error) {
+		if out != nil {
+			out.Abort()
+		}
+		fatal(err)
+	}
 	if *dump != "" {
-		dumpFile, err := os.Create(*dump)
-		if err != nil {
+		if out, err = trace.CreateTraceFile(*dump, 0); err != nil {
 			fatal(err)
 		}
-		tw := trace.NewTraceWriter(dumpFile, 0)
-		defer func() {
-			if err := tw.Close(); err != nil {
-				fatal(err)
-			}
-			if err := dumpFile.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		sinks = append(sinks, tw)
+		sinks = append(sinks, out)
 	}
 	sink := trace.Tee(sinks...)
 
-	switch {
-	case *traceIn != "":
+	if *traceIn != "" {
 		f, err := os.Open(*traceIn)
 		if err != nil {
-			fatal(err)
+			fail(err)
 		}
-		defer f.Close()
-		if _, err := trace.ReadAllFramed(f, sink); err != nil {
-			fatal(err)
+		_, err = trace.ReadAllFramed(f, sink)
+		f.Close()
+		if err != nil {
+			fail(err)
 		}
-	case *workload != "":
+	} else {
 		cs, err := ccprof.Workload(*workload)
 		if err != nil {
-			fatal(err)
+			fail(err)
 		}
 		p := cs.Original
 		if *variant == "optimized" {
 			p = cs.Optimized
 		}
 		p.Run(sink)
-	default:
-		fmt.Fprintln(os.Stderr, "ccsim: need -trace FILE or -workload NAME")
-		flag.Usage()
-		os.Exit(2)
+	}
+	if out != nil {
+		if err := out.Commit(); err != nil {
+			fatal(err)
+		}
 	}
 	tr.Flush()
 

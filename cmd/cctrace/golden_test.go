@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -79,4 +82,47 @@ func TestGolden(t *testing.T) {
 		}
 		checkGolden(t, "perf.head3.dump.golden", buf.Bytes())
 	})
+}
+
+// TestHeadStopsAtN: -head N delivers and reports exactly N references from
+// JSONL and from framed input, whether N ends inside a frame or on a frame
+// boundary, and reads no further than the record or frame holding the Nth.
+func TestHeadStopsAtN(t *testing.T) {
+	input := filepath.Join("testdata", "perf.jsonl")
+	framed := filepath.Join(t.TempDir(), "perf.cctb")
+	if err := convert(io.Discard, input, framed, true, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path  string
+		jsonl bool
+		head  uint64
+	}{
+		{input, true, 3}, {framed, false, 3}, {framed, false, 4}, {framed, false, 6},
+	} {
+		var buf bytes.Buffer
+		if err := printStats(&buf, tc.path, tc.jsonl, tc.head); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("references: %d (", tc.head)
+		if !strings.HasPrefix(buf.String(), want) {
+			t.Errorf("-head %d -stats %s: got %q, want a %q line", tc.head, tc.path, buf.String(), want)
+		}
+	}
+	// The framed reader stops at the frame holding the Nth reference: a
+	// corrupt frame after it is never decoded.
+	data, err := os.ReadFile(framed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.cctb")
+	if err := os.WriteFile(cut, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := printStats(io.Discard, cut, false, 4); err != nil {
+		t.Errorf("-head 4 read past its first frame: %v", err)
+	}
+	if err := printStats(io.Discard, cut, false, 0); err == nil {
+		t.Error("the truncated trace read in full reported no error")
+	}
 }

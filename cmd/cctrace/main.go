@@ -56,22 +56,38 @@ func main() {
 }
 
 // readTrace feeds path's references into sink, decoding JSONL when asked and
-// the framed binary format otherwise. It returns the reference count and,
-// for JSONL, the number of records skipped for lacking an address.
+// the framed binary format otherwise. A head above 0 stops decoding at the
+// record or frame holding the head-th reference and delivers only the
+// first head. It returns the count delivered and, for JSONL, the number of
+// records read but skipped for lacking an address.
 func readTrace(path string, jsonl bool, head uint64, sink trace.Sink) (n int, skipped int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	if head > 0 {
-		sink = &trace.Limit{N: head, Next: sink}
-	}
 	if jsonl {
-		return trace.ReadJSONL(f, sink)
+		return trace.ReadJSONL(f, sink, head)
 	}
-	n, err = trace.ReadAllFramed(f, sink)
-	return n, 0, err
+	tr, err := trace.NewTraceReader(f)
+	if err != nil {
+		return 0, 0, err
+	}
+	for head == 0 || uint64(n) < head {
+		blk, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return n, 0, err
+		}
+		if left := head - uint64(n); head > 0 && uint64(blk.Len()) > left {
+			blk = &trace.RefBlock{IP: blk.IP[:left], Addr: blk.Addr[:left], Flags: blk.Flags[:left]}
+		}
+		n += blk.Len()
+		sink.RefBlock(blk)
+	}
+	return n, 0, nil
 }
 
 func printStats(w io.Writer, path string, jsonl bool, head uint64) error {
@@ -140,20 +156,19 @@ func dump(w io.Writer, path string, jsonl bool, head uint64) error {
 	return nil
 }
 
+// convert re-frames inPath into outPath. outPath appears only once the
+// whole trace is written: a failed read leaves nothing behind.
 func convert(w io.Writer, inPath, outPath string, jsonl bool, frame int, head uint64) error {
-	fout, err := os.Create(outPath)
+	out, err := trace.CreateTraceFile(outPath, frame)
 	if err != nil {
 		return err
 	}
-	sink := trace.NewTraceWriter(fout, frame)
-	n, skipped, err := readTrace(inPath, jsonl, head, sink)
+	n, skipped, err := readTrace(inPath, jsonl, head, out)
 	if err != nil {
+		out.Abort()
 		return err
 	}
-	if err := sink.Close(); err != nil {
-		return err
-	}
-	if err := fout.Close(); err != nil {
+	if err := out.Commit(); err != nil {
 		return err
 	}
 	st, err := os.Stat(outPath)

@@ -481,7 +481,8 @@ func evaluate(p *workloads.Program, geom mem.Geometry, maxRefs uint64) Candidate
 	e.lat = mem.Broadwell().Lat
 	e.maxRefs = maxRefs
 	e.n, e.cycles = 0, 0
-	p.Run(e)
+	// The evaluator owns all its state, so the kernel may run beside it.
+	p.RunThreadPipelined(0, 1, e)
 	c := Candidate{
 		Misses:   e.l1.Misses,
 		L2Misses: e.l2.Misses,

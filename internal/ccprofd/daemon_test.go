@@ -8,9 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // newTestDaemon builds and starts a daemon over dir, wired to an
@@ -199,6 +202,44 @@ func TestDaemonRejectsOversizedSpec(t *testing.T) {
 
 	if rec := post(`{"kind":"profile","workload":"nw"}`); rec.Code != http.StatusAccepted {
 		t.Fatalf("normal spec: status %d, want 202 (body %s)", rec.Code, rec.Body)
+	}
+}
+
+// TestDaemonRejectsTooManyThreads: a profile spec asking for more threads
+// than core.MaxThreads is refused with 400 before a job exists — the
+// journal is untouched — while the limit itself is still accepted.
+func TestDaemonRejectsTooManyThreads(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := newTestDaemon(t, dir, Options{Workers: 1})
+	journal := filepath.Join(dir, "jobs.journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		return rec
+	}
+	goroutines := runtime.NumGoroutine()
+	for _, n := range []int{core.MaxThreads + 1, 1000000000} {
+		rec := post(fmt.Sprintf(`{"kind":"profile","workload":"kripke","threads":%d}`, n))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("threads %d: status %d, want 400 (body %s)", n, rec.Code, rec.Body)
+		}
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Errorf("over-limit specs created jobs: %+v", jobs)
+	}
+	if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("over-limit specs touched the journal (%d -> %d bytes, err %v)", len(before), len(after), err)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the refusals, %d before", n, goroutines)
+	}
+	body := fmt.Sprintf(`{"kind":"profile","workload":"nw","threads":%d}`, core.MaxThreads)
+	if rec := post(body); rec.Code != http.StatusAccepted {
+		t.Fatalf("threads at the limit: status %d, want 202 (body %s)", rec.Code, rec.Body)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faultinj"
 	"repro/internal/parsim"
@@ -116,6 +117,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Threshold < 0 || s.Threads < 0 || s.DeadlineMS < 0 || s.FaultSlowMS < 0 {
 		return fmt.Errorf("%w: negative threshold/threads/deadline/slow", ErrBadSpec)
+	}
+	if s.Threads > core.MaxThreads {
+		return fmt.Errorf("%w: %d threads, at most %d", ErrBadSpec, s.Threads, core.MaxThreads)
 	}
 	if p := s.plan(1); p != nil {
 		if err := p.Validate(); err != nil {

@@ -13,4 +13,7 @@ var (
 	ErrNilProfile = errors.New("core: nil profile")
 	// ErrNilBinary is returned when Analyze receives a nil binary.
 	ErrNilBinary = errors.New("core: nil binary")
+	// ErrTooManyThreads is returned when a profiling entry point is asked
+	// for more than MaxThreads threads.
+	ErrTooManyThreads = errors.New("core: too many threads")
 )

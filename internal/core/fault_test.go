@@ -2,10 +2,17 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/faultinj"
+	"repro/internal/mem"
+	"repro/internal/objfile"
+	"repro/internal/parsim"
 	"repro/internal/pmu"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -48,6 +55,76 @@ func TestProfileValidatesConfig(t *testing.T) {
 	_, err = ProfileL2(cs.Original, L2ProfileOptions{Period: pmu.Fixed(0)})
 	if !errors.Is(err, pmu.ErrBadPeriod) {
 		t.Errorf("ProfileL2 zero period: %v, want pmu.ErrBadPeriod", err)
+	}
+}
+
+// TestProfileBoundsThreads: a thread count over MaxThreads is refused with
+// ErrTooManyThreads by both profiling entry points before anything is
+// allocated or started; MaxThreads itself is the widest evaluated machine.
+func TestProfileBoundsThreads(t *testing.T) {
+	if w := max(mem.Broadwell().Threads, mem.Skylake().Threads); MaxThreads != w {
+		t.Fatalf("MaxThreads = %d, the widest machine config declares %d", MaxThreads, w)
+	}
+	p := workloads.NewADI(64, 1).Original
+	base := runtime.NumGoroutine()
+	for _, n := range []int{MaxThreads + 1, 1 << 30} {
+		opts := ProfileOptions{Threads: n, NoTime: true}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ProfileProgram(p, opts)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTooManyThreads) {
+			t.Errorf("ProfileProgram at %d threads: %v, want ErrTooManyThreads", n, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("ProfileProgram at %d threads allocated %d bytes before refusing", n, grew)
+		}
+		if _, _, err := ProfileStream(p, opts, AnalyzeOptions{}); !errors.Is(err, ErrTooManyThreads) {
+			t.Errorf("ProfileStream at %d threads: %v, want ErrTooManyThreads", n, err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the refusals, %d before", n, base)
+	}
+}
+
+// TestProfileKernelPanicReachesCaller: a kernel panic at any thread count
+// panics ProfileProgram's caller with the kernel's value — threads run on
+// goroutines of their own, and a kernel on its own beside its sampler — so
+// parsim contains it as a PanicError instead of the process dying.
+func TestProfileKernelPanicReachesCaller(t *testing.T) {
+	boom := errors.New("kernel failed")
+	b := objfile.NewBuilder("boom")
+	b.Func("kernel")
+	b.Loop("boom.c", 3)
+	ld := b.Load("boom.c", 4)
+	b.EndLoop()
+	ar := alloc.NewArena()
+	arr := ar.Alloc("a", 1<<16, 0)
+	p := workloads.NewProgram("boom", b.Finish(), ar, func(tid, threads int, sink *trace.Emitter) {
+		for i := uint64(0); i < 3*trace.DefaultBlock; i++ {
+			sink.Ref(trace.Ref{IP: ld, Addr: arr.Start + i*64%arr.Size})
+		}
+		if tid == threads-1 {
+			panic(boom)
+		}
+	})
+	base := runtime.NumGoroutine()
+	for _, threads := range []int{1, 2} {
+		_, err := parsim.Run(1, parsim.Options{Workers: 1}, func(int) (*Profile, error) {
+			return ProfileProgram(p, ProfileOptions{Threads: threads, NoTime: true})
+		})
+		var pe *parsim.PanicError
+		if !errors.As(err, &pe) || pe.Value != boom {
+			t.Errorf("threads %d: parsim.Run error %v, want a PanicError carrying the kernel's value", threads, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the panics, %d before", n, base)
 	}
 }
 

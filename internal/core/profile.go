@@ -112,7 +112,17 @@ type ProfileOptions struct {
 // cannot leak state between runs.
 var samplerPool parsim.Pool[*pmu.Sampler]
 
-func (o ProfileOptions) withDefaults() ProfileOptions {
+// MaxThreads bounds ProfileOptions.Threads: the largest hardware thread
+// count any evaluated machine declares (mem.Broadwell().Threads). A profile
+// costs a goroutine pair, a sampler and a sample buffer per thread, so the
+// count is checked before anything is sized from it.
+const MaxThreads = 28
+
+// resolve fills in the defaults and validates the options, before anything
+// is allocated from them: the thread count, the fault plan and the sampler
+// configuration every per-thread Config shares except for seed and
+// injector.
+func (o ProfileOptions) resolve() (ProfileOptions, error) {
 	if o.Geom.Sets == 0 {
 		o.Geom = mem.L1Default()
 	}
@@ -122,25 +132,55 @@ func (o ProfileOptions) withDefaults() ProfileOptions {
 	if o.Threads < 1 {
 		o.Threads = 1
 	}
-	return o
+	if o.Threads > MaxThreads {
+		return o, fmt.Errorf("%w: %d threads, at most %d", ErrTooManyThreads, o.Threads, MaxThreads)
+	}
+	if err := o.Faults.Validate(); err != nil {
+		return o, fmt.Errorf("core: fault plan: %w", err)
+	}
+	if err := (pmu.Config{Geom: o.Geom, Period: o.Period, Burst: o.Burst}).Validate(); err != nil {
+		return o, fmt.Errorf("core: profile config: %w", err)
+	}
+	return o, nil
+}
+
+// runThreads runs thread(tid) for every tid on a goroutine each and waits
+// for all of them. A panic on any thread is re-raised on the caller's
+// goroutine (the lowest tid's, once every thread has ended), so the callers'
+// containment — parsim's PanicError, ccprofd's job recovery — sees it as it
+// does at one thread.
+func runThreads(threads int, thread func(tid int)) {
+	panics := make([]any, threads)
+	var wg sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[tid] = recover() }()
+			thread(tid)
+		}()
+	}
+	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
 }
 
 // ProfileProgram runs the workload under the simulated PMU — CCProf's
 // online phase. Each thread runs against a private sampler (its own L1
 // model and sampling phase), mirroring how libmonitor sets up per-thread
-// PEBS contexts.
+// PEBS contexts, and each thread's kernel runs on a goroutine of its own
+// beside its sampler (workloads RunThreadPipelined), so ProfiledNs times
+// the overlapped run.
 func ProfileProgram(p *workloads.Program, opts ProfileOptions) (*Profile, error) {
 	if p == nil {
 		return nil, ErrNilProgram
 	}
-	o := opts.withDefaults()
-	if err := o.Faults.Validate(); err != nil {
-		return nil, fmt.Errorf("core: fault plan: %w", err)
-	}
-	// Validate the resolved sampler configuration once, up front: every
-	// per-thread Config below differs only in seed and injector.
-	if err := (pmu.Config{Geom: o.Geom, Period: o.Period, Burst: o.Burst}).Validate(); err != nil {
-		return nil, fmt.Errorf("core: profile config: %w", err)
+	o, err := opts.resolve()
+	if err != nil {
+		return nil, err
 	}
 	sp := obs.Default.Span("profile")
 	defer sp.End()
@@ -197,27 +237,25 @@ func ProfileProgram(p *workloads.Program, opts ProfileOptions) (*Profile, error)
 		}
 		return s
 	}
+	// Each thread is a two-stage pipeline (RunThreadPipelined): the kernel
+	// emits on a goroutine of its own while the sampler, which owns all its
+	// state, consumes the blocks on the thread's goroutine, so emission and
+	// the simulated PMU overlap as PEBS hardware does beside the program.
 	var samplers []*pmu.Sampler
 	if o.Threads == 1 {
-		// The single-thread profile — every sweep task — runs inline: no
-		// goroutine, no WaitGroup, and the sampler slice stays on the stack.
+		// The single-thread profile — every sweep task — samples on the
+		// caller's goroutine: no WaitGroup, and the sampler slice stays on
+		// the stack.
 		s := getSampler(0)
 		one := [1]*pmu.Sampler{s}
 		samplers = one[:]
-		p.RunThread(0, 1, s)
+		p.RunThreadPipelined(0, 1, s)
 	} else {
 		samplers = make([]*pmu.Sampler, o.Threads)
-		var wg sync.WaitGroup
-		for tid := 0; tid < o.Threads; tid++ {
-			s := getSampler(tid)
-			samplers[tid] = s
-			wg.Add(1)
-			go func(tid int, s *pmu.Sampler) {
-				defer wg.Done()
-				p.RunThread(tid, o.Threads, s)
-			}(tid, s)
+		for tid := range samplers {
+			samplers[tid] = getSampler(tid)
 		}
-		wg.Wait()
+		runThreads(o.Threads, func(tid int) { p.RunThreadPipelined(tid, o.Threads, samplers[tid]) })
 	}
 	// Merge-on-reassembly: each thread's sampler counted in shard-local
 	// fields; fold the totals into the process registry here, once per

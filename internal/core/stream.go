@@ -404,16 +404,18 @@ func (sa *StreamAnalyzer) Finish(workload string) *Analysis {
 // pipeline produces for the same options and seed, including at any thread
 // count. Observability counters ("profile.runs", "analyze.runs", pmu.*,
 // trace.*) advance exactly as in the two-phase pipeline.
+//
+// Unlike ProfileProgram, each thread's kernel and sampler take turns on one
+// goroutine (workloads RunThread, not RunThreadPipelined): the analyzer the
+// samplers feed attributes samples through p.Arena, which a custom kernel
+// may grow while it runs.
 func ProfileStream(p *workloads.Program, opts ProfileOptions, aopts AnalyzeOptions) (*Profile, *Analysis, error) {
 	if p == nil {
 		return nil, nil, ErrNilProgram
 	}
-	o := opts.withDefaults()
-	if err := o.Faults.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: fault plan: %w", err)
-	}
-	if err := (pmu.Config{Geom: o.Geom, Period: o.Period, Burst: o.Burst}).Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: profile config: %w", err)
+	o, err := opts.resolve()
+	if err != nil {
+		return nil, nil, err
 	}
 	burst := o.Burst
 	if burst < 1 {
@@ -473,17 +475,10 @@ func ProfileStream(p *workloads.Program, opts ProfileOptions, aopts AnalyzeOptio
 		p.RunThread(0, 1, s)
 	} else {
 		samplers = make([]*pmu.Sampler, o.Threads)
-		var wg sync.WaitGroup
-		for tid := 0; tid < o.Threads; tid++ {
-			s := getSampler(tid)
-			samplers[tid] = s
-			wg.Add(1)
-			go func(tid int, s *pmu.Sampler) {
-				defer wg.Done()
-				p.RunThread(tid, o.Threads, s)
-			}(tid, s)
+		for tid := range samplers {
+			samplers[tid] = getSampler(tid)
 		}
-		wg.Wait()
+		runThreads(o.Threads, func(tid int) { p.RunThread(tid, o.Threads, samplers[tid]) })
 	}
 	for _, s := range samplers {
 		prof.StreamSamples += int(s.SampleCount())

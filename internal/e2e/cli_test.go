@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // binDir holds the binaries built once in TestMain.
@@ -191,6 +193,22 @@ func TestCCProfUsage(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "usage: ccprof") {
 		t.Errorf("stderr is not the usage message: %q", stderr)
+	}
+}
+
+// TestCCProfThreadLimit: a -threads count over core.MaxThreads is a usage
+// error, refused before any profiling starts.
+func TestCCProfThreadLimit(t *testing.T) {
+	over := fmt.Sprint(core.MaxThreads + 1)
+	for _, extra := range [][]string{nil, {"-stream"}} {
+		args := append(append([]string{"-threads", over}, extra...), "nw")
+		stdout, stderr, exit := run(t, "ccprof", args...)
+		if exit != 2 {
+			t.Fatalf("ccprof %v: exit %d, want 2 (stderr %q)", args, exit, stderr)
+		}
+		if !strings.Contains(stderr, "-threads "+over) || stdout != "" {
+			t.Errorf("ccprof %v: stderr %q, stdout %q; want only the usage error", args, stderr, stdout)
+		}
 	}
 }
 

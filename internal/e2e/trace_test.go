@@ -75,6 +75,44 @@ func TestTraceCLIs(t *testing.T) {
 		}
 	})
 
+	t.Run("failed-writes-leave-no-output", func(t *testing.T) {
+		work := t.TempDir()
+		bad := filepath.Join(work, "bad.cctb")
+		if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(dumped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := filepath.Join(work, "cut.cctb") // valid header and frames, then a torn one
+		if err := os.WriteFile(cut, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(work, "out.cctb")
+		for _, args := range [][]string{
+			{"cctrace", "-in", bad, "-out", out},
+			{"cctrace", "-in", cut, "-out", out},
+			{"ccsim", "-trace", bad, "-dump", out},
+			{"ccsim", "-trace", cut, "-dump", out},
+		} {
+			if _, stderr, exit := run(t, args[0], args[1:]...); exit != 1 {
+				t.Errorf("%v: exit %d, want 1 (stderr %q)", args, exit, stderr)
+			}
+			entries, err := os.ReadDir(work)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 2 {
+				var names []string
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
+				t.Errorf("%v left files behind: %v", args, names)
+			}
+		}
+	})
+
 	t.Run("retired-format-flags-are-usage-errors", func(t *testing.T) {
 		out := filepath.Join(dir, "out.cct")
 		for _, args := range [][]string{

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"io"
-	"testing"
-)
+import "testing"
 
 // TestAnalyticGates pins the tier-0 model's accuracy contract at Quick
 // scale: the closed-form verdict must agree with the exact-simulation
@@ -11,10 +8,7 @@ import (
 // predicted CF must track the enumerating analyzer within 0.10, and the
 // tiered advisor must reproduce every simulation-only recommendation.
 func TestAnalyticGates(t *testing.T) {
-	res, err := Analytic(io.Discard, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sharedRows[*AnalyticResult](t, "analytic")
 	if got := len(res.Rows); got != 12 {
 		t.Fatalf("expected 12 case-study variants, got %d", got)
 	}

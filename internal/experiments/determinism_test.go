@@ -3,7 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -18,22 +18,72 @@ func atWorkers(n int, fn func()) {
 	fn()
 }
 
-// render captures an experiment's full observable output — the rendered
-// report text plus the JSON serialization of its structured rows — so a
-// byte comparison covers both what users read and what downstream tooling
-// consumes.
-func render(t *testing.T, fn func(w *bytes.Buffer) (any, error)) []byte {
+// quickRun is one Quick-scale run of a registered experiment, kept for
+// every test in the package that needs that run.
+type quickRun struct {
+	text []byte // the rendered report
+	rows any    // the result rows, for shape assertions
+	out  []byte // text followed by the rows' JSON: all a user or tool reads
+	obs  []byte // the deterministic slice of the run's obs snapshot
+}
+
+var (
+	runsMu sync.Mutex
+	runs   = map[string]*[2]*quickRun{}
+)
+
+// sharedRun returns run i (0 or 1) of the named experiment, running it on
+// first use. Run 0 uses one sweep worker and run 1 eight, so the suites
+// share two runs per experiment instead of each running its own: TestGolden
+// checks run 0's text, the -j1/-j8 suites compare run 0 with run 1 (output
+// and obs counters), TestExperimentsRunTwiceIdentical compares the two runs
+// made in this one process, and the shape tests read run 0's rows. No
+// experiment runs more than twice per test process.
+func sharedRun(t *testing.T, name string, i int) *quickRun {
 	t.Helper()
-	var buf bytes.Buffer
-	rows, err := fn(&buf)
+	runsMu.Lock()
+	defer runsMu.Unlock()
+	pair := runs[name]
+	if pair == nil {
+		pair = new([2]*quickRun)
+		runs[name] = pair
+	}
+	if pair[i] != nil {
+		return pair[i]
+	}
+	fn, ok := registry()[name]
+	if !ok {
+		t.Fatalf("experiment %q is not registered", name)
+	}
+	r := new(quickRun)
+	var err error
+	atWorkers([2]int{1, 8}[i], func() {
+		r.obs = deterministicObs(t, func() {
+			var buf bytes.Buffer
+			r.rows, err = fn(&buf, Quick)
+			r.text = buf.Bytes()
+		})
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	raw, err := json.Marshal(r.rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatal(err)
+	r.out = append(append([]byte(nil), r.text...), raw...)
+	pair[i] = r
+	return r
+}
+
+// sharedRows returns run 0's result rows of the named experiment as T.
+func sharedRows[T any](t *testing.T, name string) T {
+	t.Helper()
+	rows, ok := sharedRun(t, name, 0).rows.(T)
+	if !ok {
+		t.Fatalf("%s rows are %T", name, sharedRun(t, name, 0).rows)
 	}
-	return append(buf.Bytes(), raw...)
+	return rows
 }
 
 // sweepCases lists the experiments routed through the sweep executor,
@@ -41,25 +91,7 @@ func render(t *testing.T, fn func(w *bytes.Buffer) (any, error)) []byte {
 // count independent. table2 and specgen carry wall-clock measurements
 // in-process, but those fields are excluded from serialization (json:"-"),
 // so their rendered output is as deterministic as the rest.
-func sweepCases() []struct {
-	name string
-	fn   func(w *bytes.Buffer) (any, error)
-} {
-	return []struct {
-		name string
-		fn   func(w *bytes.Buffer) (any, error)
-	}{
-		{"fig7", func(w *bytes.Buffer) (any, error) { return Fig7(w, Quick) }},
-		{"fig9", func(w *bytes.Buffer) (any, error) { return Fig9(w, Quick) }},
-		{"table2", func(w *bytes.Buffer) (any, error) { return Table2(w, Quick) }},
-		{"table3", func(w *bytes.Buffer) (any, error) { return Table3(w, Quick) }},
-		{"staticconf", func(w *bytes.Buffer) (any, error) { return StaticConf(w, Quick) }},
-		{"analytic", func(w *bytes.Buffer) (any, error) { return Analytic(w, Quick) }},
-		{"specgen", func(w *bytes.Buffer) (any, error) { return Specgen(w, Quick) }},
-		{"faults", func(w *bytes.Buffer) (any, error) { return Faults(w, Quick) }},
-		{"streaming", func(w *bytes.Buffer) (any, error) { return Streaming(w, Quick) }},
-	}
-}
+var sweepCases = []string{"fig7", "fig9", "table2", "table3", "staticconf", "analytic", "specgen", "faults", "streaming"}
 
 // TestExperimentsSerialParallelIdentical is the engine-level determinism
 // regression: every experiment routed through the sweep executor must
@@ -67,14 +99,12 @@ func sweepCases() []struct {
 // task picked up shared state (an RNG, a map, an accumulator) whose value
 // depends on scheduling.
 func TestExperimentsSerialParallelIdentical(t *testing.T) {
-	for _, tc := range sweepCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			var serial, parallel []byte
-			atWorkers(1, func() { serial = render(t, tc.fn) })
-			atWorkers(8, func() { parallel = render(t, tc.fn) })
+	for _, name := range sweepCases {
+		t.Run(name, func(t *testing.T) {
+			serial, parallel := sharedRun(t, name, 0).out, sharedRun(t, name, 1).out
 			if !bytes.Equal(serial, parallel) {
 				t.Errorf("%s output differs between -j1 and -j8 (%d vs %d bytes)",
-					tc.name, len(serial), len(parallel))
+					name, len(serial), len(parallel))
 			}
 		})
 	}
@@ -84,9 +114,9 @@ func TestExperimentsSerialParallelIdentical(t *testing.T) {
 // in executable form: every registered experiment, run twice in the same
 // process at Quick scale, must render byte-identical text. A failure means
 // a timing, an RNG shared across runs, or a map iteration order leaked
-// into the report (the ProfiledNs class of bug).
+// into the report (the ProfiledNs class of bug). The two runs are the
+// shared pair, one at -j1 and one at -j8.
 func TestExperimentsRunTwiceIdentical(t *testing.T) {
-	reg := Registry()
 	names := Names()
 	if raceEnabled {
 		// Full matrix under -race would take minutes for no extra signal
@@ -96,16 +126,8 @@ func TestExperimentsRunTwiceIdentical(t *testing.T) {
 		names = []string{"fig9", "table2", "staticconf", "l2ext"}
 	}
 	for _, name := range names {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			runOnce := func() []byte {
-				var buf bytes.Buffer
-				if err := reg[name](&buf, Quick); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
-			}
-			first, second := runOnce(), runOnce()
+			first, second := sharedRun(t, name, 0).text, sharedRun(t, name, 1).text
 			if !bytes.Equal(first, second) {
 				t.Errorf("%s output differs between two identical runs (%d vs %d bytes)",
 					name, len(first), len(second))
@@ -137,18 +159,9 @@ func deterministicObs(t *testing.T, fn func()) []byte {
 // byte-identical at -j1 and -j8. This is what licenses shard-local
 // counting with merge-on-reassembly.
 func TestObsCountersSerialParallelIdentical(t *testing.T) {
-	reg := Registry()
 	for _, name := range []string{"fig9", "staticconf"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			run := func() {
-				if err := reg[name](io.Discard, Quick); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var serial, parallel []byte
-			atWorkers(1, func() { serial = deterministicObs(t, run) })
-			atWorkers(8, func() { parallel = deterministicObs(t, run) })
+			serial, parallel := sharedRun(t, name, 0).obs, sharedRun(t, name, 1).obs
 			if !bytes.Equal(serial, parallel) {
 				t.Errorf("%s obs counters differ between -j1 and -j8:\n--- j1 ---\n%s\n--- j8 ---\n%s",
 					name, serial, parallel)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -13,27 +12,21 @@ import (
 // the sampling period — not absolute numbers.
 
 func TestFig2Shape(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := Fig2(&buf, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := sharedRun(t, "fig2", 0)
+	res := run.rows.(Fig2Result)
 	if res.L2ReductionPct < 50 {
 		t.Errorf("L2 reduction = %.1f%%, want > 50%% (paper: up to 91.4%%)", res.L2ReductionPct)
 	}
 	if res.L1MissesPad >= res.L1MissesOrig {
 		t.Errorf("padding did not cut L1 misses: %d -> %d", res.L1MissesOrig, res.L1MissesPad)
 	}
-	if !strings.Contains(buf.String(), "Figure 2") {
+	if !strings.Contains(string(run.text), "Figure 2") {
 		t.Error("report missing title")
 	}
 }
 
 func TestFig7Shape(t *testing.T) {
-	rows, err := Fig7(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]Fig7Row](t, "fig7")
 	if len(rows) != 18 {
 		t.Fatalf("got %d rows, want 18", len(rows))
 	}
@@ -90,10 +83,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	rows, err := Fig9(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]Fig9Row](t, "fig9")
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 6 case studies", len(rows))
 	}
@@ -108,10 +98,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows, err := Table2(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]Table2Row](t, "table2")
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(rows))
 	}
@@ -146,10 +133,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	rows, err := Table3(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]Table3Row](t, "table3")
 	if len(rows) != 12 {
 		t.Fatalf("got %d rows, want 6 apps x 2 machines", len(rows))
 	}
@@ -172,10 +156,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows, err := Table4(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]Table4Row](t, "table4")
 	if len(rows) < 8 {
 		t.Fatalf("got %d loops, want the full NW loop set", len(rows))
 	}
@@ -242,10 +223,7 @@ func TestAblationPeriodDistShape(t *testing.T) {
 }
 
 func TestAblationReplacementShape(t *testing.T) {
-	rows, err := AblationReplacement(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]ReplacementRow](t, "ablation-replacement")
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -287,10 +265,7 @@ func TestScaledMachine(t *testing.T) {
 func mustBroadwell() mem.Machine { return mem.Broadwell() }
 
 func TestBaselinesShape(t *testing.T) {
-	rows, err := Baselines(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]BaselineRow](t, "baselines")
 	if len(rows) != 4 {
 		t.Fatalf("got %d detector rows, want 4", len(rows))
 	}
@@ -328,10 +303,7 @@ func TestBaselinesShape(t *testing.T) {
 }
 
 func TestL2ExtensionShape(t *testing.T) {
-	rows, err := L2Extension(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]L2ExtRow](t, "l2ext")
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 2 variants x 3 policies", len(rows))
 	}
@@ -350,10 +322,7 @@ func TestL2ExtensionShape(t *testing.T) {
 }
 
 func TestAblationAssociativityShape(t *testing.T) {
-	rows, err := AblationAssociativity(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]AssociativityRow](t, "ablation-associativity")
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -373,10 +342,7 @@ func TestAblationAssociativityShape(t *testing.T) {
 }
 
 func TestAblationBurstShape(t *testing.T) {
-	rows, err := AblationBurst(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]BurstRow](t, "ablation-burst")
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -402,11 +368,8 @@ func TestAblationBurstShape(t *testing.T) {
 }
 
 func TestStaticConfShape(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := StaticConf(&buf, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := sharedRun(t, "staticconf", 0)
+	res := run.rows.(*StaticConfResult)
 	if len(res.Rows) != 12 {
 		t.Fatalf("got %d rows, want 12 (six case studies, both variants)", len(res.Rows))
 	}
@@ -426,7 +389,7 @@ func TestStaticConfShape(t *testing.T) {
 			t.Errorf("%s: dynamic ground truth flagged the optimized build", row.App)
 		}
 	}
-	out := buf.String()
+	out := string(run.text)
 	if !strings.Contains(out, "confusion matrix") {
 		t.Error("report missing confusion matrix line")
 	}
@@ -442,11 +405,8 @@ func TestRegistryHasStaticConf(t *testing.T) {
 }
 
 func TestSpecgenShape(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := Specgen(&buf, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := sharedRun(t, "specgen", 0)
+	res := run.rows.(*SpecgenResult)
 	if len(res.Rows) != 12 {
 		t.Fatalf("got %d rows, want 12 (six case studies, both variants)", len(res.Rows))
 	}
@@ -468,7 +428,7 @@ func TestSpecgenShape(t *testing.T) {
 	if res.ExtractTime <= 0 {
 		t.Error("extraction time not measured")
 	}
-	out := buf.String()
+	out := string(run.text)
 	if !strings.Contains(out, "confusion matrix") || !strings.Contains(out, "spec extraction") {
 		t.Errorf("report missing sections:\n%s", out)
 	}

@@ -14,10 +14,7 @@ import (
 // must have actually been exercised (injected shard faults recovered, no
 // shards lost).
 func TestFaultsLossTolerance(t *testing.T) {
-	rows, err := Faults(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]FaultsRow](t, "faults")
 	if len(rows) != len(FaultsRates) {
 		t.Fatalf("%d rows, want %d", len(rows), len(FaultsRates))
 	}
@@ -129,11 +126,7 @@ func TestFaultsCheckpointResume(t *testing.T) {
 // TestFaultsReportAnnotated: the rendered report always carries the
 // degraded-mode annotation line.
 func TestFaultsReportAnnotated(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := Faults(&buf, Quick); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := string(sharedRun(t, "faults", 0).text)
 	if !strings.Contains(out, "degraded: ") {
 		t.Errorf("report lacks the degraded annotation:\n%s", out)
 	}

@@ -25,28 +25,19 @@ var goldenNames = []string{
 }
 
 // TestGolden diffs each experiment's rendered Quick-scale report
-// byte-for-byte against its checked-in golden file. The runners come from
-// the same registry the CLI uses, so the goldens pin exactly what
-// `experiments -quick -run <name>` prints.
+// byte-for-byte against its checked-in golden file. The runs (shared with
+// the determinism suites) come from the same registry the CLI uses, so the
+// goldens pin exactly what `experiments -quick -run <name>` prints.
 func TestGolden(t *testing.T) {
-	reg := Registry()
 	for _, name := range goldenNames {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			fn, ok := reg[name]
-			if !ok {
-				t.Fatalf("experiment %q is not registered", name)
-			}
-			var buf bytes.Buffer
-			if err := fn(&buf, Quick); err != nil {
-				t.Fatal(err)
-			}
+			got := sharedRun(t, name, 0).text
 			path := filepath.Join("testdata", "golden", name+".txt")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -55,9 +46,9 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run `go test ./internal/experiments -run TestGolden -update` to create it)", err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
+			if !bytes.Equal(got, want) {
 				t.Errorf("%s output diverged from %s (got %d bytes, want %d).\nIf the change is intentional, re-golden with -update.\n--- got ---\n%s\n--- want ---\n%s",
-					name, path, buf.Len(), len(want), clip(buf.String()), clip(string(want)))
+					name, path, len(got), len(want), clip(string(got)), clip(string(want)))
 			}
 		})
 	}

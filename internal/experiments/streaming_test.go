@@ -98,10 +98,7 @@ func TestStreamingDifferentialEquivalence(t *testing.T) {
 // asserts every row reports equivalence — the golden file pins the bytes,
 // this pins the meaning.
 func TestStreamingExperimentAllIdentical(t *testing.T) {
-	rows, err := Streaming(nil, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedRows[[]StreamingRow](t, "streaming")
 	if len(rows) == 0 {
 		t.Fatal("streaming experiment produced no rows")
 	}

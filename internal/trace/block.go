@@ -88,22 +88,38 @@ func (b *RefBlock) AppendTo(dst []Ref) []Ref {
 
 // Emitter is the producer side of the replay engine: every workload kernel
 // emits through one, by a statically bound call. Ref stores each reference
-// by index into fixed DefaultBlock-sized struct-of-arrays buffers — no
-// append, no interface call — and each full block goes to the consumer in
-// one Sink.RefBlock call, so every consumer receives the same sequence in
-// the same DefaultBlock-sized pieces.
+// by index into fixed struct-of-arrays buffers — no append, no interface
+// call, no pointer to chase — and each full DefaultBlock-sized block goes to
+// the consumer in one Sink.RefBlock call, so every consumer receives the
+// same sequence in the same DefaultBlock-sized pieces.
+//
+// An Emitter delivers in one of two modes. Sequentially (NewEmitter, Reset),
+// Flush calls the sink on the emitting goroutine, between two references,
+// and only the first block of the buffers is used. Pipelined (Pipe), the
+// kernel emits on a goroutine of its own into the buffers' ringDepth blocks
+// in turn, and each full block is handed, without a copy, to the sink
+// running on the caller's goroutine; see Pipe for that mode's contract.
 //
 // The caller must Flush after the final reference; Program.RunThread does.
 // Ref is the only per-reference entry point of the stream: custom workloads
 // (see workloads.NewProgram) receive their thread's Emitter directly.
 type Emitter struct {
 	out Sink
-	n   int // buffered references: ip[:n], addr[:n], flags[:n]
+	// The current block is ip[start:pos], addr[start:pos],
+	// flags[start:pos]; it is full when pos reaches end = start +
+	// DefaultBlock. start is 0 except while piped.
+	pos, start, end int
 
-	ip    [DefaultBlock]uint64
-	addr  [DefaultBlock]uint64
-	flags [DefaultBlock]uint8
-	blk   RefBlock // the view of the buffers handed to out on Flush
+	ip    [ringDepth * DefaultBlock]uint64
+	addr  [ringDepth * DefaultBlock]uint64
+	flags [ringDepth * DefaultBlock]uint8
+	blk   RefBlock // the view of a block handed to the sink
+
+	// pipe holds the pipelined mode's channels, made on the first Pipe and
+	// kept, so a pooled emitter carries them with it. piped is set while a
+	// Pipe's producer is running.
+	pipe  *pipe
+	piped bool
 
 	// Shard-local stream statistics, merged once per run via ObserveInto:
 	// the delivery path itself never touches shared state.
@@ -123,19 +139,20 @@ func NewEmitter(out Sink) *Emitter {
 // statistics are discarded.
 func (e *Emitter) Reset(out Sink) {
 	e.out = out
-	e.n = 0
+	e.pos, e.start, e.end = 0, 0, DefaultBlock
+	e.piped = false
 	e.refs, e.flushes = 0, 0
 }
 
 // Ref stores r at the next free index, flushing first when the block is
 // full.
 func (e *Emitter) Ref(r Ref) {
-	if e.n == DefaultBlock {
+	if e.pos == e.end {
 		e.Flush()
 	}
-	// The mask is a no-op (n < DefaultBlock here) that lets the compiler
-	// drop the bounds checks.
-	i := e.n & (DefaultBlock - 1)
+	// The mask is a no-op (pos < end <= len(ip) here) that lets the
+	// compiler drop the bounds checks.
+	i := e.pos & (len(e.ip) - 1)
 	e.ip[i] = r.IP
 	e.addr[i] = r.Addr
 	var fl uint8
@@ -143,17 +160,27 @@ func (e *Emitter) Ref(r Ref) {
 		fl = FlagWrite
 	}
 	e.flags[i] = fl
-	e.n = i + 1
+	e.pos = i + 1
+}
+
+// view returns the n references from index start as a RefBlock.
+func (e *Emitter) view(start, n int) RefBlock {
+	return RefBlock{IP: e.ip[start : start+n], Addr: e.addr[start : start+n], Flags: e.flags[start : start+n]}
 }
 
 // Flush delivers any buffered references downstream as one block.
 func (e *Emitter) Flush() {
-	if e.n == 0 {
+	n := e.pos - e.start
+	if n == 0 {
 		return
 	}
-	e.blk = RefBlock{IP: e.ip[:e.n], Addr: e.addr[:e.n], Flags: e.flags[:e.n]}
-	e.refs += uint64(e.n)
+	e.refs += uint64(n)
 	e.flushes++
+	if e.piped {
+		e.handoff(n)
+		return
+	}
+	e.blk = e.view(e.start, n)
 	e.out.RefBlock(&e.blk)
-	e.n = 0
+	e.pos = e.start
 }

@@ -119,21 +119,6 @@ func TestCounterBatch(t *testing.T) {
 	}
 }
 
-// TestLimitBatch: Limit must truncate mid-block at exactly N references.
-func TestLimitBatch(t *testing.T) {
-	refs := refSeq(100)
-	var rec Recorder
-	l := &Limit{N: 42, Next: &rec}
-	feedBlocks(l, refs, 30)
-	if rec.Len() != 42 || !reflect.DeepEqual(rec.Refs, refs[:42]) {
-		t.Fatalf("limit passed %d refs, want the first 42", rec.Len())
-	}
-	l.RefBlock(blockOf(refs...))
-	if rec.Len() != 42 {
-		t.Fatalf("limit leaked refs after saturation: %d", rec.Len())
-	}
-}
-
 // TestTeeBatch: Tee must fan a block out to every sink, the per-reference
 // SinkFunc adapter included.
 func TestTeeBatch(t *testing.T) {

@@ -407,7 +407,7 @@ func TestJSONLDecode(t *testing.T) {
 {"ip":"0x401020","data_addr":"0x7f0000001080","event":"cpu/mem-loads/P"}
 {"addr":"128","op":"WRITE"}`
 	var got []Ref
-	refs, skipped, err := ReadJSONL(bytes.NewReader([]byte(input)), SinkFunc(func(r Ref) { got = append(got, r) }))
+	refs, skipped, err := ReadJSONL(bytes.NewReader([]byte(input)), SinkFunc(func(r Ref) { got = append(got, r) }), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestJSONLDecode(t *testing.T) {
 func TestJSONLRejectsNonJSON(t *testing.T) {
 	input := "{\"ip\":1,\"addr\":2}\nthis is not json\n"
 	var rec Recorder
-	refs, _, err := ReadJSONL(bytes.NewReader([]byte(input)), &rec)
+	refs, _, err := ReadJSONL(bytes.NewReader([]byte(input)), &rec, 0)
 	if err == nil {
 		t.Error("non-JSON line should error")
 	}
@@ -438,7 +438,7 @@ func TestJSONLRejectsNonJSON(t *testing.T) {
 	if refs != 1 || rec.Len() != 1 || rec.Refs[0] != (Ref{IP: 1, Addr: 2}) {
 		t.Errorf("before the bad line: refs=%d delivered=%v, want the one good reference", refs, rec.Refs)
 	}
-	if _, _, err := ReadJSONL(bytes.NewReader([]byte(`{"addr":"0xzz"}`)), Discard); err == nil {
+	if _, _, err := ReadJSONL(bytes.NewReader([]byte(`{"addr":"0xzz"}`)), Discard, 0); err == nil {
 		t.Error("unparsable hex should error")
 	}
 }

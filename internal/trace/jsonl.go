@@ -94,16 +94,17 @@ func (rec *jsonlRecord) ref() (Ref, bool) {
 
 // ReadJSONL streams a perf-script-style JSONL trace from r into sink. It
 // returns the number of references delivered and the number of well-formed
-// lines skipped for lacking a data address. A line that is not valid JSON
-// aborts with an error naming the line number; the references decoded
-// before it are still delivered.
-func ReadJSONL(r io.Reader, sink Sink) (refs, skipped int, err error) {
+// lines skipped for lacking a data address. A head above 0 stops reading at
+// the record holding the head-th reference; lines after it are never read.
+// A line that is not valid JSON aborts with an error naming the line
+// number; the references decoded before it are still delivered.
+func ReadJSONL(r io.Reader, sink Sink, head uint64) (refs, skipped int, err error) {
 	e := NewEmitter(sink)
 	defer e.Flush()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
-	for sc.Scan() {
+	for (head == 0 || uint64(refs) < head) && sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {

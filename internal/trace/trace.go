@@ -113,25 +113,3 @@ func (rec *Recorder) Len() int { return len(rec.Refs) }
 
 // Reset discards all recorded references but keeps the backing storage.
 func (rec *Recorder) Reset() { rec.Refs = rec.Refs[:0] }
-
-// Limit forwards at most N references to Next, then drops the rest. It
-// models truncated trace collection.
-type Limit struct {
-	N    uint64
-	Next Sink
-
-	seen uint64
-}
-
-// RefBlock implements Sink: the block that crosses the limit is forwarded
-// truncated to the references still allowed.
-func (l *Limit) RefBlock(b *RefBlock) {
-	if l.seen >= l.N {
-		return
-	}
-	if left := l.N - l.seen; uint64(b.Len()) > left {
-		b = &RefBlock{IP: b.IP[:left], Addr: b.Addr[:left], Flags: b.Flags[:left]}
-	}
-	l.seen += uint64(b.Len())
-	l.Next.RefBlock(b)
-}

@@ -42,18 +42,6 @@ func TestTeeSingleSinkShortCircuit(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	var c Counter
-	e := NewEmitter(&Limit{N: 3, Next: &c})
-	for i := 0; i < 10; i++ {
-		e.Ref(Ref{})
-	}
-	e.Flush()
-	if c.Total() != 3 {
-		t.Errorf("limit passed %d, want 3", c.Total())
-	}
-}
-
 // TestReadAllBadMagic: the framed reader is the only trace reader, so the
 // retired flat (CCT1) and delta (CCTZ) formats, like any other foreign
 // bytes, must be refused with the typed magic error before a single

@@ -60,29 +60,44 @@ func (s *blockPrint) RefBlock(b *trace.RefBlock) {
 	}
 }
 
-// streamSinks builds a fresh sink of each consumer shape a producer must
-// serve with the same sequence, with the fingerprint it accumulates.
+func newFuncPrint() (trace.Sink, *streamPrint) {
+	p := newStreamPrint()
+	return trace.SinkFunc(p.Ref), p
+}
+
+func newBlockPrint() (trace.Sink, *streamPrint) {
+	s := &blockPrint{*newStreamPrint()}
+	return s, &s.streamPrint
+}
+
+// streamSinks pairs each entry point with each consumer shape a producer
+// must serve with the same sequence: make builds a fresh sink with the
+// fingerprint it accumulates, run delivers one thread's stream to it.
 var streamSinks = []struct {
 	name string
 	make func() (trace.Sink, *streamPrint)
+	run  func(p *Program, tid, threads int, sink trace.Sink)
 }{
-	{"SinkFunc", func() (trace.Sink, *streamPrint) { p := newStreamPrint(); return trace.SinkFunc(p.Ref), p }},
-	{"BlockSink", func() (trace.Sink, *streamPrint) { s := &blockPrint{*newStreamPrint()}; return s, &s.streamPrint }},
+	{"SinkFunc", newFuncPrint, (*Program).RunThread},
+	{"BlockSink", newBlockPrint, (*Program).RunThread},
+	{"PipelinedSinkFunc", newFuncPrint, (*Program).RunThreadPipelined},
+	{"PipelinedBlockSink", newBlockPrint, (*Program).RunThreadPipelined},
 }
 
 // streamPrints runs every case-study variant (default scale) and every
-// Rodinia kernel at threads=1 and, per tid, at threads=2 into sinks built by
-// mk, one freshly constructed program per run so data-dependent kernels
-// start from their initial state. It returns one "name threads/tid count
-// hash" line per stream, in a fixed order.
-func streamPrints(t *testing.T, mk func() (trace.Sink, *streamPrint)) []string {
+// Rodinia kernel at threads=1 and, per tid, at threads=2 through run into
+// sinks built by mk, one freshly constructed program per run so
+// data-dependent kernels start from their initial state. It returns one
+// "name threads/tid count hash" line per stream, in a fixed order.
+func streamPrints(t *testing.T, mk func() (trace.Sink, *streamPrint),
+	runThread func(p *Program, tid, threads int, sink trace.Sink)) []string {
 	t.Helper()
 	type run struct{ threads, tid int }
 	runs := []run{{1, 0}, {2, 0}, {2, 1}}
 	var lines []string
 	emit := func(name string, p *Program, r run) {
 		sink, fp := mk()
-		p.RunThread(r.tid, r.threads, sink)
+		runThread(p, r.tid, r.threads, sink)
 		lines = append(lines, fmt.Sprintf("%s %d/%d %d %016x", name, r.threads, r.tid, fp.count, fp.hash))
 	}
 	for _, name := range Names() {
@@ -112,19 +127,20 @@ func streamPrints(t *testing.T, mk func() (trace.Sink, *streamPrint)) []string {
 // TestStreamFingerprints pins every workload's reference stream: the count
 // and FNV-1a-64 of each (program, threads, tid) stream must match the table
 // in testdata/streams.golden through a per-reference SinkFunc and a block
-// sink alike. Any change to a kernel's emitted sequence, or to how
-// RunThread stages and delivers it, shows here. Regenerate with
+// sink alike, from RunThread and RunThreadPipelined alike. Any change to a
+// kernel's emitted sequence, or to how either entry stages and delivers
+// it, shows here. Regenerate with
 // "go test ./internal/workloads -run TestStreamFingerprints -args -update"
 // only when a kernel's stream is meant to change.
 func TestStreamFingerprints(t *testing.T) {
 	if *update {
-		writeGoldenLines(t, streamPrints(t, streamSinks[0].make))
+		writeGoldenLines(t, streamPrints(t, streamSinks[0].make, streamSinks[0].run))
 	}
 	want := readGoldenLines(t)
 	for _, s := range streamSinks {
 		t.Run(s.name, func(t *testing.T) {
 			t.Parallel()
-			got := streamPrints(t, s.make)
+			got := streamPrints(t, s.make, s.run)
 			if len(got) != len(want) {
 				t.Fatalf("%d streams, golden has %d", len(got), len(want))
 			}

@@ -89,9 +89,10 @@ func NewProgram(name string, bin *objfile.Binary, ar *alloc.Arena,
 	return &Program{Name: name, Binary: bin, Arena: ar, runThread: run}
 }
 
-// emitters recycles staging emitters across RunThread calls. An emitter
-// holds only its block buffers between uses; Reset discards any buffered
-// state, so pooling is invisible to the delivered stream.
+// emitters recycles staging emitters across RunThread and
+// RunThreadPipelined calls. An emitter holds only its block buffers (and,
+// once it has piped, its channels) between uses; Reset and Pipe discard any
+// buffered state, so pooling is invisible to the delivered stream.
 var emitters = parsim.Pool[*trace.Emitter]{New: func() *trace.Emitter { return trace.NewEmitter(nil) }}
 
 // Run emits the full sequential reference stream.
@@ -107,13 +108,15 @@ func (p *Program) Run(sink trace.Sink) { p.RunThread(0, 1, sink) }
 // References reach sink a block at a time, after the kernel has moved on,
 // never interleaved with its execution. The run's stream statistics merge
 // into obs.Default once, at the end.
+//
+// RunThread stays sequential — sink runs on the kernel's goroutine, between
+// two of its references — because some sinks read state the kernel writes:
+// ProfileStream's analyzer attributes samples through p.Arena, which a
+// custom kernel may grow mid-run, and user SinkFuncs call p.Arena.Find.
+// RunThreadPipelined is the overlapped variant for sinks that own all their
+// state.
 func (p *Program) RunThread(tid, threads int, sink trace.Sink) {
-	if threads < 1 {
-		threads = 1
-	}
-	if tid < 0 || tid >= threads {
-		panic(fmt.Sprintf("workloads: thread %d out of range [0,%d)", tid, threads))
-	}
+	threads = checkThread(tid, threads)
 	e := emitters.Get()
 	e.Reset(sink)
 	p.runThread(tid, threads, e)
@@ -121,6 +124,42 @@ func (p *Program) RunThread(tid, threads int, sink trace.Sink) {
 	e.ObserveInto(obs.Default)
 	e.Reset(nil) // drop the sink reference while pooled
 	emitters.Put(e)
+}
+
+// RunThreadPipelined delivers to sink exactly the stream RunThread does —
+// the same references in the same blocks, the same stream statistics — but
+// runs the kernel on a goroutine of its own while sink consumes on the
+// caller's, the two joined by a ring of blocks in the pooled emitter's
+// buffers (see trace.Emitter.Pipe). On two cores the kernel and the
+// simulated PMU overlap, as PEBS hardware records beside the running
+// program.
+//
+// sink runs concurrently with the kernel, so it must not read state the
+// kernel writes: not the program's Arena, nor anything a custom kernel
+// updates. ProfileProgram's samplers and the advisor's evaluators own all
+// their state; ProfileStream and user sinks go through RunThread. A kernel
+// panic is re-raised on the caller's goroutine with its value; a sink panic
+// stops the kernel at its next block handoff. Either way no goroutine
+// outlives the call.
+func (p *Program) RunThreadPipelined(tid, threads int, sink trace.Sink) {
+	threads = checkThread(tid, threads)
+	e := emitters.Get()
+	e.Pipe(sink, func(e *trace.Emitter) { p.runThread(tid, threads, e) })
+	e.ObserveInto(obs.Default)
+	e.Reset(nil)
+	emitters.Put(e) // only reached once the producer has exited
+}
+
+// checkThread validates a thread index and returns the effective thread
+// count.
+func checkThread(tid, threads int) int {
+	if threads < 1 {
+		threads = 1
+	}
+	if tid < 0 || tid >= threads {
+		panic(fmt.Sprintf("workloads: thread %d out of range [0,%d)", tid, threads))
+	}
+	return threads
 }
 
 // Record runs the program sequentially into a Recorder and returns it.
