@@ -634,9 +634,9 @@ func BenchmarkAnalyticModel(b *testing.B) {
 }
 
 // BenchmarkAdvisorTierCascade compares the advisor's pad sweep with the
-// static tiers off (every candidate simulated) and with the full cascade
-// on, over a dense 81-candidate grid on quick-scale ADI. The ns/cand
-// metric of the simulation-only run divided by BenchmarkAnalyticModel's
+// analytic tier off (every candidate simulated) and with the cascade on,
+// over a dense 81-candidate grid on quick-scale ADI. The ns/cand metric
+// of the simulation-only run divided by BenchmarkAnalyticModel's
 // ns/variant is the per-candidate evaluation speedup of tier 0.
 func BenchmarkAdvisorTierCascade(b *testing.B) {
 	cs := workloads.NewADI(256, 1)

@@ -95,15 +95,12 @@ type (
 	Access = staticconf.Access
 	// AccessDim is one loop dimension of an Access (stride and trip).
 	AccessDim = staticconf.Dim
-	// StaticOptions configures the static analyzer.
-	StaticOptions = staticconf.Options
-	// StaticReport is the static analyzer's verdict for one spec.
-	StaticReport = staticconf.Report
 	// AnalyticOptions configures the closed-form analytic conflict model.
 	AnalyticOptions = analytic.Options
 	// AnalyticReport is the analytic model's verdict for one spec.
 	AnalyticReport = analytic.Report
-	// TierPolicy selects the static pruning tiers of the advisor cascade.
+	// TierPolicy selects whether the advisor cascade prunes candidates
+	// analytically before simulating them.
 	TierPolicy = advisor.TierPolicy
 	// StreamAnalyzer consumes PMU samples online and produces the same
 	// Analysis as the buffered pipeline in O(contexts x sets) memory.
@@ -314,23 +311,12 @@ func ProfileL2(p *Program, opts core.L2ProfileOptions) (*core.L2Analysis, error)
 	return core.ProfileL2(p, opts)
 }
 
-// AnalyzeStatic predicts a kernel's cache-set conflicts from its affine
-// access spec alone — per-access set footprints, window demand, and a
-// conflict verdict — without running or simulating the kernel. The zero
-// geometry selects L1Default; see internal/staticconf for the model.
-func AnalyzeStatic(spec *AccessSpec, g Geometry, opts StaticOptions) (*StaticReport, error) {
-	if g.Sets == 0 {
-		g = mem.L1Default()
-	}
-	return staticconf.Analyze(spec, g, opts)
-}
-
 // AnalyzeAnalytic classifies a kernel's affine access spec with the
-// closed-form tier-0 conflict model: predicted footprint, per-set
-// demand, reuse profile, contribution factor, and verdict, all from
-// pure arithmetic — no reference replayed, no window enumerated. It is
-// the cheapest tier of the advisor cascade; see internal/analytic for
-// the lattice model. The zero geometry selects L1Default.
+// closed-form conflict model: predicted footprint, per-set demand, reuse
+// profile, contribution factor, and verdict, all from pure arithmetic —
+// no reference replayed, no window enumerated. It is the pruning tier of
+// the advisor cascade; see internal/analytic for the lattice model. The
+// zero geometry selects L1Default.
 func AnalyzeAnalytic(spec *AccessSpec, g Geometry, opts AnalyticOptions) (*AnalyticReport, error) {
 	if g.Sets == 0 {
 		g = mem.L1Default()
@@ -338,18 +324,7 @@ func AnalyzeAnalytic(spec *AccessSpec, g Geometry, opts AnalyticOptions) (*Analy
 	return analytic.Analyze(spec, g, opts)
 }
 
-// Cascade returns the full three-tier advisor policy — the analytic
-// model, then the enumerating static analyzer, then exact simulation of
-// the surviving candidates — for Options.Tiers of RecommendPad.
+// Cascade returns the full advisor policy — the analytic model, then
+// exact simulation of the surviving candidates — for Options.Tiers of
+// RecommendPad.
 func Cascade() TierPolicy { return advisor.Cascade() }
-
-// MinimalPad returns the smallest row pad the static analyzer declares
-// conflict-free, scanning pads in Quantum steps — the closed-form
-// companion to RecommendPad, which the advisor's StaticFirst mode uses to
-// prune its simulation sweep.
-func MinimalPad(build func(pad uint64) *AccessSpec, g Geometry, opts staticconf.PadOptions) (*staticconf.PadResult, error) {
-	if g.Sets == 0 {
-		g = mem.L1Default()
-	}
-	return staticconf.MinimalPad(build, g, opts)
-}

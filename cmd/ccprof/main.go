@@ -14,7 +14,6 @@
 //	ccprof adi                    # profile PolyBench ADI, report conflicts
 //	ccprof -variant optimized adi # confirm padding removed the conflicts
 //	ccprof -period 31 himeno      # short conflict periods need fast sampling
-//	ccprof -static adi            # static affine verdict next to the dynamic one
 //	ccprof -stream -threads 8 nw  # fused online pipeline, bounded memory, same report
 //	ccprof -analytic adi          # closed-form tier-0 verdict, no replay at all
 //	ccprof -advise -j 8 nw        # parallel pad sweep; output identical at any -j
@@ -49,7 +48,6 @@ func main() {
 		analyzeIn   = flag.String("analyze", "", "skip profiling; analyze this saved profile file")
 		jsonOut     = flag.Bool("json", false, "emit the analysis as JSON instead of text")
 		compare     = flag.Bool("compare", false, "profile both variants and compare verdicts")
-		static      = flag.Bool("static", false, "also print the static affine conflict analysis (no execution)")
 		analyticF   = flag.Bool("analytic", false, "also print the closed-form analytic conflict model (no execution, no enumeration)")
 		l2          = flag.Bool("l2", false, "physically-indexed L2 profiling (the footnote-1 extension)")
 		pagePolicy  = flag.String("page-policy", "identity", "L2 mode: identity, sequential, or random frame allocation")
@@ -126,7 +124,7 @@ func main() {
 		return
 	}
 
-	if *static || *analyticF {
+	if *analyticF {
 		progs := []*ccprof.Program{cs.Original}
 		if *compare {
 			progs = append(progs, cs.Optimized)
@@ -134,15 +132,8 @@ func main() {
 			progs[0] = cs.Optimized
 		}
 		for _, p := range progs {
-			if *analyticF {
-				if err := printAnalytic(p); err != nil {
-					fatal(err)
-				}
-			}
-			if *static {
-				if err := printStatic(p); err != nil {
-					fatal(err)
-				}
+			if err := printAnalytic(p); err != nil {
+				fatal(err)
 			}
 		}
 	}
@@ -280,9 +271,9 @@ func main() {
 }
 
 // advisePad runs the advisor's tiered pad sweep for a case study: the
-// analytic and static tiers rule candidates out first, the survivors are
-// built and simulated on the parallel sweep executor (-j), and the
-// cheapest pad that removes the conflict signature is recommended.
+// analytic tier rules candidates out first, the survivors are built and
+// simulated on the parallel sweep executor (-j), and the cheapest pad
+// that removes the conflict signature is recommended.
 func advisePad(cs *ccprof.CaseStudy) error {
 	if cs.PadBuilder == nil {
 		return fmt.Errorf("%s has no pad builder (its fix is not a row pad)", cs.Name)
@@ -295,27 +286,7 @@ func advisePad(cs *ccprof.CaseStudy) error {
 		return err
 	}
 	fmt.Printf("pad sweep for %s (%d workers)\n\n", cs.Name, ccprof.Parallelism())
-	fmt.Printf("%-8s  %-10s  %-10s  %-12s  %-6s\n", "pad", "L1 misses", "L2 misses", "cycles", "cf")
-	for _, c := range res.Candidates {
-		marker := ""
-		if c.Pad == res.Best.Pad {
-			marker = "  <- recommended"
-		}
-		fmt.Printf("%-8d  %-10d  %-10d  %-12d  %-6.1f%s\n",
-			c.Pad, c.Misses, c.L2Misses, c.Cycles, 100*c.CF, marker)
-	}
-	if len(res.Pruned) > 0 {
-		fmt.Printf("\nstatically pruned (no simulation): %v\n", res.Pruned)
-		if len(res.PrunedAnalytic) > 0 {
-			fmt.Printf("  by the analytic tier: %v\n", res.PrunedAnalytic)
-		}
-		if len(res.PrunedStatic) > 0 {
-			fmt.Printf("  by the static tier:   %v\n", res.PrunedStatic)
-		}
-	}
-	fmt.Printf("\nrecommended pad: %d bytes (%.1f%% cycle reduction over pad 0)\n",
-		res.Best.Pad, 100*res.Improvement())
-	return nil
+	return res.WriteText(os.Stdout)
 }
 
 // compareVariants profiles both builds of a case study and reports the
@@ -409,26 +380,6 @@ func profileL2(prog *ccprof.Program, cs *ccprof.CaseStudy, period uint64, seed i
 		}
 		fmt.Println()
 	}
-	return nil
-}
-
-// printStatic runs the static affine analyzer on the workload's declared
-// access spec and prints its report ahead of the dynamic one, so the two
-// verdicts can be compared side by side.
-func printStatic(prog *ccprof.Program) error {
-	if prog.Spec == nil {
-		fmt.Printf("static analysis: %s declares no access spec (data-dependent kernel)\n\n", prog.Name)
-		return nil
-	}
-	rep, err := ccprof.AnalyzeStatic(prog.Spec, ccprof.L1Default(), ccprof.StaticOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("static analysis of %s (no execution):\n", prog.Name)
-	if err := rep.WriteText(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
 	return nil
 }
 

@@ -8,7 +8,9 @@
 package advisor
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/analytic"
@@ -47,12 +49,15 @@ type Result struct {
 	// Pruned lists every pad ruled out without simulation, ascending
 	// (tiered runs only; nil otherwise).
 	Pruned []uint64
-	// PrunedAnalytic and PrunedStatic attribute pruned pads to the tier
-	// whose verdict removed them: tier 0 is the closed-form analytic
-	// model, tier 1 the enumerating static analyzer. Pads in Pruned but
-	// in neither list were statically clean beyond the keep limit.
+	// PrunedAnalytic lists the pruned pads the closed-form analytic
+	// model declared conflicted. Pads in Pruned but not here were
+	// analytically clean beyond the keep limit.
 	PrunedAnalytic []uint64
-	PrunedStatic   []uint64
+	// PrunedStatic is always empty: the enumerating static tier it
+	// counted has left the cascade. It stays only because the benchmark
+	// module's advise workload still reads it, and goes when that
+	// workload's staticconf.eval rung is retired.
+	PrunedStatic []uint64
 }
 
 // Improvement returns the cycle reduction of Best over Baseline, in [0, 1].
@@ -61,6 +66,33 @@ func (r Result) Improvement() float64 {
 		return 0
 	}
 	return 1 - float64(r.Best.Cycles)/float64(r.Baseline.Cycles)
+}
+
+// WriteText renders the result as the advise table both ccprof -advise
+// and ccprofd advise artifacts print below their header line: one row
+// per simulated candidate with the recommendation marked, the pads the
+// analytic tier pruned, and the recommended pad's cycle reduction.
+func (r Result) WriteText(w io.Writer) error {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%-8s  %-10s  %-10s  %-12s  %-6s\n", "pad", "L1 misses", "L2 misses", "cycles", "cf")
+	for _, c := range r.Candidates {
+		marker := ""
+		if c.Pad == r.Best.Pad {
+			marker = "  <- recommended"
+		}
+		fmt.Fprintf(&b, "%-8d  %-10d  %-10d  %-12d  %-6.1f%s\n",
+			c.Pad, c.Misses, c.L2Misses, c.Cycles, 100*c.CF, marker)
+	}
+	if len(r.Pruned) > 0 {
+		fmt.Fprintf(&b, "\nstatically pruned (no simulation): %v\n", r.Pruned)
+		if len(r.PrunedAnalytic) > 0 {
+			fmt.Fprintf(&b, "  by the analytic tier: %v\n", r.PrunedAnalytic)
+		}
+	}
+	fmt.Fprintf(&b, "\nrecommended pad: %d bytes (%.1f%% cycle reduction over pad 0)\n",
+		r.Best.Pad, 100*r.Improvement())
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // Options configures the search.
@@ -80,32 +112,27 @@ type Options struct {
 	// pad can score well on cycles because its extra L1 conflict misses
 	// hit in L2). 0 selects 0.25; 1 or more ranks on cycles alone.
 	ConflictCF float64
-	// Tiers selects the static pruning tiers of the advisor cascade
-	// (analytic → staticconf → full simulation). Each active tier rules
-	// candidate pads out before any cache simulation runs: only pad 0,
-	// pads whose spec is unavailable, and the StaticKeep smallest pads
-	// every active tier declares clean are simulated. Tier 0 (analytic)
-	// classifies a candidate arithmetically in microseconds; tier 1
-	// (staticconf) enumerates its reuse windows; the survivors go to
-	// full simulation. If no pad at all comes back clean, the cascade
-	// abstains and the full candidate list is swept — the static tiers
-	// narrow the search, they never block it.
+	// Tiers selects the advisor cascade (analytic → full simulation).
+	// With the analytic tier active, candidate pads are ruled out before
+	// any cache simulation runs: only pad 0, pads whose spec is
+	// unavailable, and the StaticKeep smallest pads the closed-form model
+	// declares clean are simulated. The model classifies a candidate
+	// arithmetically in microseconds. If no pad at all comes back clean,
+	// the cascade abstains and the full candidate list is swept — the
+	// analytic tier narrows the search, it never blocks it.
 	//
-	// The pruning is simulation-verified: when a statically-clean pad
-	// measures conflicted under simulation (the models were wrong
-	// there), or no simulated candidate clears ConflictCF, the advisor
-	// escalates — it pulls the next StaticKeep statically-clean pads
-	// out of the pruned surplus and simulates them too, batch by batch,
-	// until a batch confirms the static verdicts or the surplus runs
-	// out. A miscalibrated model therefore costs extra simulations, not
-	// a wrong recommendation.
+	// The pruning is simulation-verified: when an analytically-clean pad
+	// measures conflicted under simulation (the model was wrong there),
+	// or no simulated candidate clears ConflictCF, the advisor escalates
+	// — it pulls the next StaticKeep analytically-clean pads out of the
+	// pruned surplus and simulates them too, batch by batch, until a
+	// batch confirms the model's verdicts or the surplus runs out. A
+	// miscalibrated model therefore costs extra simulations, not a wrong
+	// recommendation.
 	Tiers TierPolicy
-	// StaticFirst is the pre-cascade spelling of Tiers.Static, kept for
-	// compatibility: it enables tier 1 only.
-	StaticFirst bool
 	// Spec builds the kernel's static access spec at a candidate pad
 	// (typically CaseStudy.SpecBuilder()). nil disables pruning even
-	// when StaticFirst is set.
+	// when Tiers enables it.
 	Spec func(pad uint64) *staticconf.Spec
 	// StaticKeep is how many statically-clean pads survive pruning;
 	// 0 selects 4.
@@ -118,25 +145,19 @@ type Options struct {
 	Workers int
 }
 
-// TierPolicy selects which static tiers of the advisor cascade prune
-// the candidate list before full simulation. The zero value disables
-// pruning; Cascade() enables the whole cascade.
+// TierPolicy selects whether the advisor cascade prunes the candidate
+// list before full simulation. The zero value disables pruning;
+// Cascade() enables it.
 type TierPolicy struct {
-	// Analytic enables tier 0: the closed-form conflict model
+	// Analytic enables the closed-form conflict model
 	// (internal/analytic), which classifies a candidate layout without
 	// replaying or enumerating a single reference.
 	Analytic bool
-	// Static enables tier 1: the enumerating static analyzer
-	// (internal/staticconf), which measures per-set demand from one
-	// enumerated reuse window per access.
-	Static bool
 }
 
-// Cascade is the full three-tier policy: analytic, then staticconf,
-// then simulation of the survivors.
-func Cascade() TierPolicy { return TierPolicy{Analytic: true, Static: true} }
-
-func (p TierPolicy) active() bool { return p.Analytic || p.Static }
+// Cascade is the full policy: the analytic model, then simulation of
+// the survivors.
+func Cascade() TierPolicy { return TierPolicy{Analytic: true} }
 
 // DefaultPads covers the pad sizes the paper's case studies use (32, 64,
 // 128, 288) plus neighbours.
@@ -173,17 +194,12 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 		keep = 4
 	}
 
-	policy := opts.Tiers
-	if opts.StaticFirst {
-		policy.Static = true
-	}
 	var res Result
 	var vetted map[uint64]bool
 	var surplus []uint64
-	if policy.active() && opts.Spec != nil {
-		pads, vetted, surplus = tierPrune(pads, policy, opts, geom, keep, &res)
+	if opts.Tiers.Analytic && opts.Spec != nil {
+		pads, vetted, surplus = tierPrune(pads, opts, geom, keep, &res)
 		obs.Default.Counter("advisor.pruned.analytic").Add(uint64(len(res.PrunedAnalytic)))
-		obs.Default.Counter("advisor.pruned.static").Add(uint64(len(res.PrunedStatic)))
 	}
 
 	// Deduplicate while preserving evaluation order, then fan the
@@ -219,13 +235,13 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 	}
 	res.Candidates = cands
 
-	// Simulation-verified escalation: the static tiers kept only the
-	// smallest clean pads, so check their verdicts against the
+	// Simulation-verified escalation: the analytic tier kept only the
+	// smallest clean pads, so check its verdicts against the
 	// measurement. If a vetted pad came back conflicted, or nothing
-	// simulated so far clears the CF threshold, the static picture is
+	// simulated so far clears the CF threshold, the model's picture is
 	// not trustworthy at this layout — promote the next batch of
-	// statically-clean pads from the pruned surplus into the sweep and
-	// repeat until a whole batch confirms the static verdicts. Each
+	// analytically-clean pads from the pruned surplus into the sweep and
+	// repeat until a whole batch confirms the model's verdicts. Each
 	// batch must also make geometric progress — cut the best measured
 	// CF by at least a quarter: when larger pads stop reducing the
 	// conflict signature, padding has given all it has (ADI's residual
@@ -342,20 +358,18 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 	return res, nil
 }
 
-// tierPrune runs the static cascade over the candidate pads, smallest
-// first: each active tier analyzes the pad's spec, cheapest tier first,
-// and the first conflicted verdict removes the pad (attributed to that
-// tier). Pad 0, specless pads, and the keep smallest pads that every
-// tier declares clean survive to simulation; clean pads beyond the
-// keep limit land in the pruned surplus, from which RecommendPad
-// escalates if simulation contradicts the static verdicts. If no pad
-// at all comes back clean the cascade has nothing useful to say and
-// the full candidate list survives untouched.
+// tierPrune runs the analytic model over the candidate pads, smallest
+// first: a conflicted verdict removes the pad. Pad 0, specless pads,
+// and the keep smallest pads the model declares clean survive to
+// simulation; clean pads beyond the keep limit land in the pruned
+// surplus, from which RecommendPad escalates if simulation contradicts
+// the model. If no pad at all comes back clean the model has nothing
+// useful to say and the full candidate list survives untouched.
 //
 // It returns the pads to simulate, the set of kept pads whose survival
-// rests on a static clean verdict (candidates for simulation-verified
-// escalation), and the statically-clean surplus in ascending order.
-func tierPrune(pads []uint64, policy TierPolicy, opts Options, geom mem.Geometry, keep int, res *Result) (out []uint64, vetted map[uint64]bool, surplus []uint64) {
+// rests on an analytic clean verdict (candidates for simulation-verified
+// escalation), and the analytically-clean surplus in ascending order.
+func tierPrune(pads []uint64, opts Options, geom mem.Geometry, keep int, res *Result) (out []uint64, vetted map[uint64]bool, surplus []uint64) {
 	sorted := append([]uint64(nil), pads...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var kept []uint64
@@ -374,25 +388,13 @@ func tierPrune(pads []uint64, policy TierPolicy, opts Options, geom mem.Geometry
 			kept = append(kept, pad)
 			continue
 		}
-		if policy.Analytic {
-			done := obs.Default.StartPhase("advisor/analytic")
-			r, err := analytic.Analyze(sp, geom, analytic.Options{SkipTouches: true})
-			done()
-			if err == nil && r.Conflict {
-				res.PrunedAnalytic = append(res.PrunedAnalytic, pad)
-				res.Pruned = append(res.Pruned, pad)
-				continue
-			}
-		}
-		if policy.Static {
-			done := obs.Default.StartPhase("advisor/static")
-			r, err := staticconf.Analyze(sp, geom, staticconf.Options{})
-			done()
-			if err == nil && r.Conflict {
-				res.PrunedStatic = append(res.PrunedStatic, pad)
-				res.Pruned = append(res.Pruned, pad)
-				continue
-			}
+		done := obs.Default.StartPhase("advisor/analytic")
+		r, err := analytic.Analyze(sp, geom, analytic.Options{SkipTouches: true})
+		done()
+		if err == nil && r.Conflict {
+			res.PrunedAnalytic = append(res.PrunedAnalytic, pad)
+			res.Pruned = append(res.Pruned, pad)
+			continue
 		}
 		if clean < keep {
 			kept = append(kept, pad)
@@ -404,7 +406,7 @@ func tierPrune(pads []uint64, policy TierPolicy, opts Options, geom mem.Geometry
 		res.Pruned = append(res.Pruned, pad)
 	}
 	if clean == 0 {
-		res.Pruned, res.PrunedAnalytic, res.PrunedStatic = nil, nil, nil
+		res.Pruned, res.PrunedAnalytic = nil, nil
 		return pads, nil, nil
 	}
 	return kept, vetted, surplus

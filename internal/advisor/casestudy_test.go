@@ -55,9 +55,9 @@ func TestAdvisorFixesAllCaseStudies(t *testing.T) {
 	}
 }
 
-// TestStaticFirstMatchesFullSweep pins the static pruning contract on all
-// six case studies: same recommendation as the full sweep, from strictly
-// fewer cache simulations.
+// TestStaticFirstMatchesFullSweep pins the analytic pruning contract on
+// all six case studies at the default pads: same recommendation as the
+// full sweep, from strictly fewer cache simulations.
 func TestStaticFirstMatchesFullSweep(t *testing.T) {
 	for _, c := range caseStudyFixes() {
 		full, err := RecommendPad(c.cs.PadBuilder, Options{})
@@ -68,16 +68,16 @@ func TestStaticFirstMatchesFullSweep(t *testing.T) {
 		if sb == nil {
 			t.Fatalf("%s: case study has no spec builder", c.cs.Name)
 		}
-		sf, err := RecommendPad(c.cs.PadBuilder, Options{StaticFirst: true, Spec: sb})
+		sf, err := RecommendPad(c.cs.PadBuilder, Options{Tiers: Cascade(), Spec: sb})
 		if err != nil {
 			t.Fatalf("%s: %v", c.cs.Name, err)
 		}
 		if sf.Best.Pad != full.Best.Pad {
-			t.Errorf("%s: StaticFirst recommended pad %d, full sweep %d",
+			t.Errorf("%s: cascade recommended pad %d, full sweep %d",
 				c.cs.Name, sf.Best.Pad, full.Best.Pad)
 		}
 		if len(sf.Candidates) >= len(full.Candidates) {
-			t.Errorf("%s: StaticFirst simulated %d candidates, full sweep %d — pruning bought nothing",
+			t.Errorf("%s: cascade simulated %d candidates, full sweep %d — pruning bought nothing",
 				c.cs.Name, len(sf.Candidates), len(full.Candidates))
 		}
 		if len(sf.Pruned)+len(sf.Candidates) != len(full.Candidates) {
@@ -87,10 +87,10 @@ func TestStaticFirstMatchesFullSweep(t *testing.T) {
 	}
 }
 
-// TestStaticFirstWithoutSpecFallsBack ensures StaticFirst without a spec
+// TestStaticFirstWithoutSpecFallsBack ensures the cascade without a spec
 // builder degrades to the full sweep instead of failing.
 func TestStaticFirstWithoutSpecFallsBack(t *testing.T) {
-	res, err := RecommendPad(columnWalk(512), Options{StaticFirst: true})
+	res, err := RecommendPad(columnWalk(512), Options{Tiers: Cascade()})
 	if err != nil {
 		t.Fatal(err)
 	}

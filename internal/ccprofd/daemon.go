@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -401,11 +400,4 @@ func (d *Daemon) Drain() {
 		}
 	}
 	d.journal.Close()
-}
-
-// DumpJobs writes a human-readable job table, for logs.
-func (d *Daemon) DumpJobs(w io.Writer) {
-	for _, j := range d.Jobs() {
-		fmt.Fprintf(w, "%s  %-10s  %-10s  %s\n", j.ID, j.Spec.Kind, j.State, j.Error)
-	}
 }

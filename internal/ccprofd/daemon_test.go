@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -240,6 +241,45 @@ func TestDaemonRejectsTooManyThreads(t *testing.T) {
 	body := fmt.Sprintf(`{"kind":"profile","workload":"nw","threads":%d}`, core.MaxThreads)
 	if rec := post(body); rec.Code != http.StatusAccepted {
 		t.Fatalf("threads at the limit: status %d, want 202 (body %s)", rec.Code, rec.Body)
+	}
+}
+
+// TestDaemonRejectsOverflowingDurations: a deadline_ms or fault_slow_ms
+// too large for a time.Duration in milliseconds would wrap negative — a
+// wrapped deadline switches the job's watchdog off — so it is refused
+// with 400 before a job exists, and the journal is untouched; the bound
+// itself is still accepted as a deadline.
+func TestDaemonRejectsOverflowingDurations(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := newTestDaemon(t, dir, Options{Workers: 1})
+	journal := filepath.Join(dir, "jobs.journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		return rec
+	}
+	maxMS := int64(math.MaxInt64 / time.Millisecond)
+	for _, field := range []string{"deadline_ms", "fault_slow_ms"} {
+		for _, ms := range []int64{maxMS + 1, 10000000000000} {
+			body := fmt.Sprintf(`{"kind":"profile","workload":"kripke",%q:%d}`, field, ms)
+			if rec := post(body); rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s %d: status %d, want 400 (body %s)", field, ms, rec.Code, rec.Body)
+			}
+		}
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Errorf("overflowing specs created jobs: %+v", jobs)
+	}
+	if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("overflowing specs touched the journal (%d -> %d bytes, err %v)", len(before), len(after), err)
+	}
+	body := fmt.Sprintf(`{"kind":"profile","workload":"nw","deadline_ms":%d}`, maxMS)
+	if rec := post(body); rec.Code != http.StatusAccepted {
+		t.Fatalf("deadline at the bound: status %d, want 202 (body %s)", rec.Code, rec.Body)
 	}
 }
 

@@ -102,26 +102,9 @@ func executeAdvise(ctx context.Context, spec Spec) ([]byte, error) {
 	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "pad sweep for %s\n\n", cs.Name)
-	fmt.Fprintf(&b, "%-8s  %-10s  %-10s  %-12s  %-6s\n", "pad", "L1 misses", "L2 misses", "cycles", "cf")
-	for _, c := range res.Candidates {
-		marker := ""
-		if c.Pad == res.Best.Pad {
-			marker = "  <- recommended"
-		}
-		fmt.Fprintf(&b, "%-8d  %-10d  %-10d  %-12d  %-6.1f%s\n",
-			c.Pad, c.Misses, c.L2Misses, c.Cycles, 100*c.CF, marker)
+	if err := res.WriteText(&b); err != nil {
+		return nil, err
 	}
-	if len(res.Pruned) > 0 {
-		fmt.Fprintf(&b, "\nstatically pruned (no simulation): %v\n", res.Pruned)
-		if len(res.PrunedAnalytic) > 0 {
-			fmt.Fprintf(&b, "  by the analytic tier: %v\n", res.PrunedAnalytic)
-		}
-		if len(res.PrunedStatic) > 0 {
-			fmt.Fprintf(&b, "  by the static tier:   %v\n", res.PrunedStatic)
-		}
-	}
-	fmt.Fprintf(&b, "\nrecommended pad: %d bytes (%.1f%% cycle reduction over pad 0)\n",
-		res.Best.Pad, 100*res.Improvement())
 	return b.Bytes(), nil
 }
 

@@ -23,6 +23,7 @@ package ccprofd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -117,6 +118,11 @@ func (s *Spec) Validate() error {
 	}
 	if s.Threshold < 0 || s.Threads < 0 || s.DeadlineMS < 0 || s.FaultSlowMS < 0 {
 		return fmt.Errorf("%w: negative threshold/threads/deadline/slow", ErrBadSpec)
+	}
+	// Both become time.Duration(ms) * time.Millisecond, which wraps
+	// negative above this bound, and a deadline ≤ 0 reads as none.
+	if maxMS := int64(math.MaxInt64 / time.Millisecond); s.DeadlineMS > maxMS || s.FaultSlowMS > maxMS {
+		return fmt.Errorf("%w: deadline/slow above %d ms", ErrBadSpec, maxMS)
 	}
 	if s.Threads > core.MaxThreads {
 		return fmt.Errorf("%w: %d threads, at most %d", ErrBadSpec, s.Threads, core.MaxThreads)

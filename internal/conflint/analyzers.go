@@ -7,8 +7,8 @@ import (
 	"repro/internal/staticconf"
 )
 
-// StaticConflict reports kernels whose extracted spec the static
-// analyzer predicts to conflict — the authoritative whole-kernel signal.
+// StaticConflict reports kernels whose extracted spec the analytic model
+// predicts to conflict — the authoritative whole-kernel signal.
 var StaticConflict = &Analyzer{
 	Name: RuleStaticConflict,
 	Doc:  "static analyzer predicts a cache-set conflict for the kernel's affine access spec",

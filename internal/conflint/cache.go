@@ -15,7 +15,7 @@ import (
 // cacheVersion invalidates every cached entry when the result schema or
 // analyzer semantics change. Bump it whenever DirResult's JSON shape or
 // any rule's behavior moves.
-const cacheVersion = "conflint-cache-v1"
+const cacheVersion = "conflint-cache-v2"
 
 // dirKey derives the cache key for one package directory: the cache
 // version, the geometry, the analyzer set, the directory path, and the

@@ -36,7 +36,7 @@ import (
 
 // Rule names, one per analyzer plus the suppression bookkeeping rule.
 const (
-	// RuleStaticConflict: the static analyzer predicts a cache-set
+	// RuleStaticConflict: the analytic model predicts a cache-set
 	// conflict for the extracted spec — the authoritative signal.
 	RuleStaticConflict = "static-conflict"
 	// RulePow2Stride: a loop dimension walks a power-of-two stride that

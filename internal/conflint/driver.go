@@ -20,8 +20,8 @@ import (
 )
 
 // Analyzer is one lint rule: a named check over a Pass. Analyzers are
-// stateless; all shared work (extraction, analytic pricing, static
-// verdicts) lives on the Pass so every rule reads the same artifacts.
+// stateless; all shared work (extraction, the analytic verdict and its
+// pricing) lives on the Pass so every rule reads the same artifacts.
 type Analyzer struct {
 	Name string // rule id, e.g. "pow2-stride"
 	Doc  string // one-line description for the SARIF rule catalog
@@ -34,8 +34,8 @@ func Analyzers() []*Analyzer {
 }
 
 // Kernel is one extracted kernel variant shared by all analyzers, with
-// the tier-0 artifacts computed once: the analytic model's predicted
-// contribution factor and the static analyzer's verdict.
+// the analytic model's report computed once: its predicted contribution
+// factor and its conflict verdict.
 type Kernel struct {
 	Ctor    string // constructor function name
 	Variant string // "", "Original", "Optimized"
@@ -43,10 +43,10 @@ type Kernel struct {
 	Ex      *specgen.Extraction
 	Decl    *ast.FuncDecl
 	// PredCF is the closed-form predicted contribution factor (0 when
-	// the model could not run), Static the staticconf verdict (nil when
-	// the spec did not analyze).
+	// the model could not run), Static the analytic model's report (nil
+	// when the spec did not analyze).
 	PredCF float64
-	Static *staticconf.Report
+	Static *analytic.Report
 }
 
 // Pass is the per-directory context handed to every analyzer.
@@ -271,10 +271,7 @@ func lintDir(dir string, cfg Config, c *counters) (DirResult, error) {
 			k := &Kernel{Ctor: lk.Ctor, Variant: lk.Variant, Label: lk.Label, Ex: lk.Ex, Decl: set.Pkg.FuncDecl(lk.Ctor)}
 			if lk.Ex.Spec != nil {
 				if ar, err := analytic.Analyze(lk.Ex.Spec, cfg.Geom, analytic.Options{}); err == nil {
-					k.PredCF = ar.PredictedCF
-				}
-				if sr, err := staticconf.Analyze(lk.Ex.Spec, cfg.Geom, staticconf.Options{}); err == nil {
-					k.Static = sr
+					k.PredCF, k.Static = ar.PredictedCF, ar
 				}
 			}
 			pass.Kernels = append(pass.Kernels, k)

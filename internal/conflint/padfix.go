@@ -10,12 +10,11 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/specgen"
-	"repro/internal/staticconf"
 )
 
-// PadFix derives a concrete row-pad edit for kernels the static
-// analyzer predicts to conflict, verifies the edit against the analytic
-// model by re-extracting the patched source through a specgen overlay,
+// PadFix derives a concrete row-pad edit for kernels the analytic model
+// predicts to conflict, verifies the edit against the same model by
+// re-extracting the patched source through a specgen overlay,
 // and attaches the edit as a suggested fix. A padfix diagnostic is only
 // emitted when the re-scored spec analyzes clean AND its predicted
 // contribution factor drops below the medium-severity threshold — an
@@ -176,8 +175,8 @@ func runPadFix(p *Pass) error {
 }
 
 // searchPad tries candidate pads smallest-disruption-first and returns
-// the first one whose overlay re-extraction analyzes clean under both
-// the static analyzer and the analytic model.
+// the first one whose overlay re-extraction the analytic model declares
+// clean.
 func searchPad(p *Pass, k *Kernel, sites []allocSite) (pad uint64, afterCF float64, ok bool) {
 	for _, cand := range padCandidates(p, sites) {
 		cf, clean := rescore(p, k, sites, cand)
@@ -221,8 +220,8 @@ func padCandidates(p *Pass, sites []allocSite) []uint64 {
 
 // rescore applies the candidate pad to every site as an in-memory
 // overlay, re-extracts the same kernel variant from the patched source,
-// and scores it with both tiers. Failures (unparsable overlay, spec
-// gone non-affine) report not-clean.
+// and scores it with the analytic model. Failures (unparsable overlay,
+// spec gone non-affine) report not-clean.
 func rescore(p *Pass, k *Kernel, sites []allocSite, pad uint64) (cf float64, clean bool) {
 	overlay, err := buildOverlay(p, sites, pad)
 	if err != nil {
@@ -236,12 +235,8 @@ func rescore(p *Pass, k *Kernel, sites []allocSite, pad uint64) (cf float64, cle
 	if err != nil || ex.Spec == nil {
 		return 0, false
 	}
-	sr, err := staticconf.Analyze(ex.Spec, p.Geom, staticconf.Options{})
-	if err != nil || sr.Conflict {
-		return 0, false
-	}
 	ar, err := analytic.Analyze(ex.Spec, p.Geom, analytic.Options{})
-	if err != nil {
+	if err != nil || ar.Conflict {
 		return 0, false
 	}
 	return ar.PredictedCF, true

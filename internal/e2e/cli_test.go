@@ -251,6 +251,19 @@ func TestCCProfAnalytic(t *testing.T) {
 	}
 }
 
+// TestCCProfRetiredStaticFlag: -static, which printed the enumerating
+// static analyzer's report, is gone; -analytic prints the closed-form
+// verdict the advisor and conflint read. The old flag is a usage error.
+func TestCCProfRetiredStaticFlag(t *testing.T) {
+	stdout, stderr, exit := run(t, "ccprof", "-static", "adi")
+	if exit != 2 {
+		t.Fatalf("ccprof -static adi: exit %d, want 2 (usage error)", exit)
+	}
+	if !strings.Contains(stderr, "-static") || stdout != "" {
+		t.Errorf("ccprof -static adi: stderr %q, stdout %q; want only the usage error", stderr, stdout)
+	}
+}
+
 func TestConflintPathological(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {

@@ -503,6 +503,39 @@ func TestCCProfdBackpressure(t *testing.T) {
 	d.drain(t)
 }
 
+// TestAdviseCLIMatchesDaemon pins the advise table ccprof -advise and a
+// ccprofd advise artifact share: below their header lines (ccprof's
+// names the worker count, the artifact's does not) the two are the same
+// bytes, and the header names the case study.
+func TestAdviseCLIMatchesDaemon(t *testing.T) {
+	cli, stderr, exit := run(t, "ccprof", "-advise", "nw")
+	if exit != 0 {
+		t.Fatalf("ccprof -advise nw: exit %d, stderr %q", exit, stderr)
+	}
+	d := startDaemon(t, t.TempDir())
+	job := d.await(t, d.submit(t, `{"kind":"advise","workload":"nw"}`, http.StatusAccepted).ID)
+	if job.State != "done" {
+		t.Fatalf("advise job %s: state %s (%s)", job.ID, job.State, job.Error)
+	}
+	art, status := d.result(t, job.ID)
+	if status != http.StatusOK {
+		t.Fatalf("advise job result: status %d", status)
+	}
+	d.drain(t)
+
+	cliHead, cliBody, _ := strings.Cut(cli, "\n")
+	artHead, artBody, _ := strings.Cut(art, "\n")
+	if !strings.HasPrefix(cliHead, "pad sweep for NW (") || artHead != "pad sweep for NW" {
+		t.Errorf("header lines %q and %q do not name the case study", cliHead, artHead)
+	}
+	if cliBody != artBody {
+		t.Errorf("advise tables differ below the header\n--- ccprof -advise ---\n%s\n--- ccprofd artifact ---\n%s", cliBody, artBody)
+	}
+	if !strings.Contains(cliBody, "<- recommended") || !strings.Contains(cliBody, "recommended pad: ") {
+		t.Errorf("advise table lacks its recommendation:\n%s", cliBody)
+	}
+}
+
 // TestCCProfdHealth: liveness stays 200 across the lifecycle; readiness
 // is tied to admission.
 func TestCCProfdHealth(t *testing.T) {

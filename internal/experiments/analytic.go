@@ -37,7 +37,7 @@ type AnalyticRow struct {
 func (r AnalyticRow) Agree() bool { return r.Analytic == r.Dynamic }
 
 // CascadeStat is one case study in the tiered-advisor accounting: how
-// many candidates each static tier removed, how many were simulated,
+// many candidates the analytic tier removed, how many were simulated,
 // and whether the cascade reached the same recommendation as the
 // simulation-only sweep over the same pad grid.
 type CascadeStat struct {
@@ -45,7 +45,6 @@ type CascadeStat struct {
 	Candidates     int    // size of the pad grid
 	Simulated      int    // candidates the cascade actually simulated
 	PrunedAnalytic int    // removed by tier 0
-	PrunedStatic   int    // removed by tier 1
 	TieredPad      uint64 // cascade recommendation
 	FullPad        uint64 // simulation-only recommendation
 }
@@ -105,9 +104,9 @@ func (r *AnalyticResult) CascadeMatches() int {
 // verdict is scored against the enumerating analyzer and the exact
 // classifying simulation, as a confusion matrix. At Full scale the
 // conflict-free Rodinia mimics join the table. A second table accounts
-// for the three-tier advisor cascade on each case study: candidates
-// pruned per tier versus the simulation-only sweep, and whether both
-// reach the same pad.
+// for the analytic → simulation advisor cascade on each case study:
+// candidates the analytic tier pruned versus the simulation-only sweep,
+// and whether both reach the same pad.
 func Analytic(w io.Writer, scale Scale) (*AnalyticResult, error) {
 	g := mem.L1Default()
 	type variant struct {
@@ -208,7 +207,6 @@ func Analytic(w io.Writer, scale Scale) (*AnalyticResult, error) {
 			Candidates:     len(full.Candidates),
 			Simulated:      len(tiered.Candidates),
 			PrunedAnalytic: len(tiered.PrunedAnalytic),
-			PrunedStatic:   len(tiered.PrunedStatic),
 			TieredPad:      tiered.Best.Pad,
 			FullPad:        full.Best.Pad,
 		})
@@ -235,10 +233,10 @@ func Analytic(w io.Writer, scale Scale) (*AnalyticResult, error) {
 		}
 		fprintf(w, "max |analytic − static| predicted cf: %.2f\n", res.MaxCFDelta)
 
-		ct := report.NewTable("three-tier advisor cascade vs simulation-only sweep",
-			"app", "grid", "simulated", "t0 pruned", "t1 pruned", "tiered pad", "full pad", "match")
+		ct := report.NewTable("analytic → simulation advisor cascade vs simulation-only sweep",
+			"app", "grid", "simulated", "t0 pruned", "tiered pad", "full pad", "match")
 		for _, s := range res.Cascade {
-			ct.Row(s.App, s.Candidates, s.Simulated, s.PrunedAnalytic, s.PrunedStatic,
+			ct.Row(s.App, s.Candidates, s.Simulated, s.PrunedAnalytic,
 				s.TieredPad, s.FullPad, agreeString(s.Match()))
 		}
 		fprintf(w, "\n")

@@ -35,7 +35,7 @@ var advisorFixFamilies = map[string][]uint64{
 }
 
 // TestAdvisorStaticFirstFromExtractedSpecs closes the loop on the advisor:
-// static-first pruning driven entirely by extracted specs must still land
+// analytic pruning driven entirely by extracted specs must still land
 // on a pad from the paper's fix family, improve on the baseline, and do so
 // from strictly fewer simulations than the full sweep — with no
 // hand-written spec anywhere.
@@ -63,8 +63,8 @@ func TestAdvisorStaticFirstFromExtractedSpecs(t *testing.T) {
 				t.Fatal(err)
 			}
 			sf, err := advisor.RecommendPad(cs.PadBuilder, advisor.Options{
-				StaticFirst: true,
-				Spec:        extractedSpecFunc(t, p, g, c.ctor, c.args),
+				Tiers: advisor.Cascade(),
+				Spec:  extractedSpecFunc(t, p, g, c.ctor, c.args),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -20,9 +20,12 @@
 //     (including the camping-set case, where outer iterations move the
 //     footprint by less than a line so the same sets stay overloaded);
 //   - a predicted short-RCD contribution factor and predicted RCD, so the
-//     static verdict is directly comparable to the dynamic classifier's;
-//   - a closed-form minimal-pad recommendation (see MinimalPad), which the
-//     advisor verifies with a handful of simulations instead of a sweep.
+//     static verdict is directly comparable to the dynamic classifier's.
+//
+// The enumeration is the measured reference the closed-form model in
+// internal/analytic is checked against: the analytic model's tests and
+// the staticconf, specgen and analytic experiments compare the two. The
+// advisor, conflint and ccprof read the analytic verdict, not this one.
 //
 // What stays dynamic: replacement-policy details, sampling noise, and
 // non-affine access patterns (pointer chasing, data-dependent indices).
@@ -33,7 +36,6 @@ package staticconf
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/mem"
@@ -469,12 +471,4 @@ func distinctLinesEstimate(a Access, g mem.Geometry) uint64 {
 		return n
 	}
 	return spanLines
-}
-
-// PredictProb maps the predicted CF through the same logistic shape the
-// dynamic classifier uses, for display purposes. It is a convenience for
-// report rendering, not part of the verdict.
-func (r *Report) PredictProb() float64 {
-	// Centered near the dynamic decision region; purely cosmetic.
-	return 1 / (1 + math.Exp(-8*(r.PredictedCF-0.4)))
 }

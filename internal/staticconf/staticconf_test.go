@@ -1,7 +1,6 @@
 package staticconf
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -152,34 +151,6 @@ func TestAnalyzeCapacityRegimeIsNotConflict(t *testing.T) {
 	}
 }
 
-func TestMinimalPadFindsSmallestCleanPad(t *testing.T) {
-	g := mem.L1Default()
-	res, err := MinimalPad(func(pad uint64) *Spec { return column(pad, 512, 512) }, g,
-		PadOptions{Quantum: 8, MaxPad: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pad == 0 {
-		t.Fatal("baseline should not analyze clean")
-	}
-	if res.Baseline == nil || !res.Baseline.Conflict {
-		t.Fatal("baseline report missing or not conflicted")
-	}
-	if res.Report.Conflict {
-		t.Fatal("recommended pad still conflicted")
-	}
-	// Minimality: every smaller tried pad must have been conflicted, so
-	// the recommendation is the first clean one.
-	if res.Tried[len(res.Tried)-1] != res.Pad {
-		t.Errorf("search did not stop at the recommendation: tried %v, pad %d", res.Tried, res.Pad)
-	}
-	// And the pad must actually be small: a single line of pad spreads a
-	// power-of-two column walk, so the solver should not need more than 64.
-	if res.Pad > 64 {
-		t.Errorf("minimal pad %d, want ≤ 64 for the pure pathology", res.Pad)
-	}
-}
-
 func TestAnalyzeValidation(t *testing.T) {
 	g := mem.L1Default()
 	if _, err := Analyze(nil, g, Options{}); err == nil {
@@ -191,23 +162,5 @@ func TestAnalyzeValidation(t *testing.T) {
 	bad := &Spec{Kernel: "bad", Accesses: []Access{{Array: "a", Elem: 8, Dims: []Dim{{Stride: 8, Trip: 0}}}}}
 	if _, err := Analyze(bad, g, Options{}); err == nil {
 		t.Error("zero trip accepted")
-	}
-}
-
-func TestWriteText(t *testing.T) {
-	g := mem.L1Default()
-	rep, err := Analyze(column(0, 512, 512), g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := rep.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"CONFLICT predicted", "column-walk", "pow2", "per-access footprint"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report output missing %q:\n%s", want, out)
-		}
 	}
 }
