@@ -633,6 +633,29 @@ func BenchmarkAnalyticModel(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/variant")
 }
 
+// BenchmarkRecommendPadCaseStudies is one pass of `ccprof -advise` over
+// every case study: workloads.Get, then RecommendPad with the full cascade
+// over DefaultPads at default scale, on the default worker count. ms/pass
+// is the wall-clock of the seven sweeps; B/op is what they allocate.
+func BenchmarkRecommendPadCaseStudies(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, name := range workloads.Names() {
+			cs, err := workloads.Get(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := advisor.RecommendPad(cs.PadBuilder, advisor.Options{
+				Tiers: advisor.Cascade(),
+				Spec:  cs.SpecBuilder(),
+			}); err != nil {
+				b.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/pass")
+}
+
 // BenchmarkAdvisorTierCascade compares the advisor's pad sweep with the
 // analytic tier off (every candidate simulated) and with the cascade on,
 // over a dense 81-candidate grid on quick-scale ADI. The ns/cand metric

@@ -415,9 +415,10 @@ func tierPrune(pads []uint64, opts Options, geom mem.Geometry, keep int, res *Re
 // evalSink is the advisor's cost model: the configured L1 backed by a
 // 256KiB L2 (the private L2 of the evaluated machines), costed with the
 // Broadwell latency table. The workload delivers references in
-// struct-of-arrays blocks: the L1 classifies a whole block in one fused pass
-// (cache.BlockMisses) and only the misses — a few percent of references —
-// pay the RCD bookkeeping and the L2 probe.
+// struct-of-arrays blocks, and each cache classifies a block in one fused
+// pass (cache.BlockMisses): the L1 every reference, the L2 the block's L1
+// misses — a few percent of references — which also pay the RCD
+// bookkeeping.
 type evalSink struct {
 	geom    mem.Geometry
 	l1, l2  *cache.Cache
@@ -427,12 +428,17 @@ type evalSink struct {
 	n       uint64
 	cycles  uint64
 
-	miss []int32 // scratch miss-index buffer for the block path
+	// Scratch for the block path, pooled with the evaluator: the L1 miss
+	// indices, their addresses, and the L2 miss indices among those.
+	miss, l2Miss []int32
+	missAddr     []uint64
 }
 
 // RefBlock implements trace.Sink — the fused fast path. Outcomes are
-// identical to simulating each reference in turn: same simulation order,
-// same statistics, same cycle cost.
+// identical to simulating each reference in turn: the RCD tracker and the
+// L2 share no state, so probing the L2 after the block's last L1 miss
+// rather than after each one leaves every cache state, statistic and
+// cycle count unchanged — the L2 still sees the L1 misses in order.
 func (e *evalSink) RefBlock(b *trace.RefBlock) {
 	addrs := b.Addr
 	if e.maxRefs > 0 {
@@ -442,17 +448,18 @@ func (e *evalSink) RefBlock(b *trace.RefBlock) {
 	}
 	e.n += uint64(len(addrs))
 	e.miss = e.l1.BlockMisses(addrs, e.miss[:0])
-	e.cycles += uint64(len(addrs)-len(e.miss)) * uint64(e.lat.L1Hit)
 	offBits, setMask := e.geom.OffsetBits(), e.geom.SetMask()
+	missAddr := e.missAddr[:0]
 	for _, i := range e.miss {
 		addr := addrs[i]
 		e.tr.Observe(int((addr >> offBits) & setMask))
-		if e.l2.AccessHit(addr) {
-			e.cycles += uint64(e.lat.L2Hit)
-		} else {
-			e.cycles += uint64(e.lat.Memory)
-		}
+		missAddr = append(missAddr, addr)
 	}
+	e.missAddr = missAddr
+	e.l2Miss = e.l2.BlockMisses(missAddr, e.l2Miss[:0])
+	l1Hits, l2Hits := len(addrs)-len(missAddr), len(missAddr)-len(e.l2Miss)
+	e.cycles += uint64(l1Hits)*uint64(e.lat.L1Hit) + uint64(l2Hits)*uint64(e.lat.L2Hit) +
+		uint64(len(e.l2Miss))*uint64(e.lat.Memory)
 }
 
 // evalPool recycles evaluator state (two cache models and an RCD tracker)
@@ -483,8 +490,9 @@ func evaluate(p *workloads.Program, geom mem.Geometry, maxRefs uint64) Candidate
 	e.lat = mem.Broadwell().Lat
 	e.maxRefs = maxRefs
 	e.n, e.cycles = 0, 0
-	// The evaluator owns all its state, so the kernel may run beside it.
-	p.RunThreadPipelined(0, 1, e)
+	// The evaluator owns all its state, so the kernel may run beside it,
+	// and it reads addresses only, so the kernel skips its numerics.
+	p.RunAddressesPipelined(e)
 	c := Candidate{
 		Misses:   e.l1.Misses,
 		L2Misses: e.l2.Misses,

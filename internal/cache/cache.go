@@ -150,10 +150,10 @@ func (c *Cache) Access(addr uint64) Result {
 }
 
 // AccessHit simulates a reference to addr and reports only whether it hit.
-// It is the inner-loop variant of Access for batch consumers (the PMU
-// sampler, the advisor's sweep evaluator) that never look at the victim:
-// state updates and statistics are identical, but no Result is materialized
-// and the evicted line address is never reconstructed.
+// It is the per-reference variant of Access for consumers that never look
+// at the victim (BlockMisses batches it for whole blocks): state updates
+// and statistics are identical, but no Result is materialized and the
+// evicted line address is never reconstructed.
 func (c *Cache) AccessHit(addr uint64) bool {
 	hit, _, _, _ := c.access(addr)
 	return hit
@@ -247,8 +247,9 @@ func (c *Cache) accessLRU(addr uint64) (hit bool, set int, victimTag uint64, evi
 // address were passed to AccessHit individually; only the loop is fused —
 // geometry bit math, the tag probe, the LRU update, and the statistics all
 // happen in one pass with the hot state held in locals. This is the cache
-// half of the fused sample+classify pass; the PMU sampler consumes the
-// returned miss indices.
+// half of the fused sample+classify pass, where the PMU sampler consumes
+// the returned miss indices, and of the advisor's cost model, whose L2
+// classifies the L1's misses a block at a time.
 //
 // dst is typically a reused scratch slice (pass dst[:0]); BlockMisses
 // allocates only when it must grow.

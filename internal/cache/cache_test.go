@@ -256,70 +256,6 @@ func TestClassifierCountsConsistent(t *testing.T) {
 	}
 }
 
-func TestReuseTracker(t *testing.T) {
-	rt := NewReuseTracker(mem.MustGeometry(64, 64, 8))
-	l := func(i uint64) uint64 { return i * 64 }
-	if d := rt.Access(l(1)); d != InfiniteReuse {
-		t.Errorf("first access distance = %d, want infinite", d)
-	}
-	if d := rt.Access(l(1)); d != 0 {
-		t.Errorf("immediate reuse distance = %d, want 0", d)
-	}
-	rt.Access(l(2))
-	rt.Access(l(3))
-	rt.Access(l(2))                   // touching 2 again: distinct since last = {3}
-	if d := rt.Access(l(1)); d != 2 { // distinct lines since last use of 1: {2,3}
-		t.Errorf("reuse distance = %d, want 2", d)
-	}
-}
-
-func TestReuseTrackerRepeatsDontInflate(t *testing.T) {
-	rt := NewReuseTracker(mem.MustGeometry(64, 64, 8))
-	l := func(i uint64) uint64 { return i * 64 }
-	rt.Access(l(1))
-	for i := 0; i < 10; i++ {
-		rt.Access(l(2)) // same line repeatedly
-	}
-	if d := rt.Access(l(1)); d != 1 {
-		t.Errorf("distance = %d, want 1 (repeats of one line count once)", d)
-	}
-}
-
-// Cross-validation: reuse distance >= ways implies a set-associative LRU
-// miss is possible but reuse distance >= total lines guarantees a miss in
-// the fully-associative shadow; check agreement on a random trace.
-func TestReuseVsFullyAssociative(t *testing.T) {
-	g := mem.MustGeometry(64, 2, 2) // 4 lines capacity
-	f := func(raw []uint8) bool {
-		rt := NewReuseTracker(g)
-		fa := newFALRU(4)
-		for _, r := range raw {
-			addr := uint64(r%32) * 64
-			d := rt.Access(addr)
-			hit := fa.access(g.Line(addr))
-			// FA-LRU hits exactly when reuse distance < capacity.
-			if hit != (d != InfiniteReuse && d < 4) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReuseTrackerGrowth(t *testing.T) {
-	rt := NewReuseTracker(mem.MustGeometry(64, 64, 8))
-	// Force several Fenwick rebuilds and verify a known distance after.
-	for i := uint64(0); i < 10000; i++ {
-		rt.Access(i * 64)
-	}
-	if d := rt.Access(0); d != 9999 {
-		t.Errorf("distance after growth = %d, want 9999", d)
-	}
-}
-
 func BenchmarkCacheAccess(b *testing.B) {
 	c := New(mem.L1Default(), LRU, nil)
 	for i := 0; i < b.N; i++ {

@@ -370,7 +370,15 @@ func (in *interp) extractFromProgramTid(prog *vStruct, g mem.Geometry, ctor stri
 	}
 	in.events = nil
 	notesBefore := len(in.notes)
-	if _, err := in.callClosure(rt, []value{vInt(int64(tid)), vInt(int64(threads)), vSink{}}); err != nil {
+	// RunThread's arguments. The workloads package's runThread also takes
+	// the compute flag before the sink, which RunThread sets for a
+	// sequential run; packages that declare their own Program (the lint
+	// fixtures) use the three-parameter form.
+	args := []value{vInt(int64(tid)), vInt(int64(threads))}
+	if rt.arity() == 4 {
+		args = append(args, vBool(threads == 1))
+	}
+	if _, err := in.callClosure(rt, append(args, vSink{})); err != nil {
 		return nil, fmt.Errorf("specgen: %s: runThread: %w", name, err)
 	}
 	ex := synthesize(name, in.events, arena, g)

@@ -80,6 +80,17 @@ type vClosure struct {
 	name string
 }
 
+// arity is the number of parameters the closure declares.
+func (c *vClosure) arity() int {
+	n := 0
+	if c.fn.Params != nil {
+		for _, f := range c.fn.Params.List {
+			n += max(len(f.Names), 1)
+		}
+	}
+	return n
+}
+
 // scope is one lexical environment frame. Variables live in cells so that
 // closures share rebinding with their defining scope, matching Go.
 type scope struct {

@@ -104,11 +104,10 @@ func adiProgram(n, steps int, pad uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink *trace.Emitter) {
+		runThread: func(tid, threads int, compute bool, sink *trace.Emitter) {
 			if tid != 0 {
 				return // sequential case study
 			}
-			compute := threads == 1
 			var uVals, aVals, bVals []float64
 			if compute {
 				v := vals()

@@ -142,8 +142,7 @@ func fftProgram(n int, pad uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink *trace.Emitter) {
-			compute := threads == 1
+		runThread: func(tid, threads int, compute bool, sink *trace.Emitter) {
 			lo, hi := span(n, tid, threads)
 			for r := lo; r < hi; r++ {
 				traced(sink, compute,

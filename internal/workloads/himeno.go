@@ -145,8 +145,7 @@ func himenoProgram(ni, nj, nk, iters int, rowPad, planePad uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink *trace.Emitter) {
-			compute := threads == 1
+		runThread: func(tid, threads int, compute bool, sink *trace.Emitter) {
 			var vals *himenoValues
 			if compute {
 				vals = lazyVals()

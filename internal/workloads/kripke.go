@@ -121,8 +121,7 @@ func kripkeProgram(zones, directions, groups int, interchanged bool, rowPad uint
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink *trace.Emitter) {
-			compute := threads == 1
+		runThread: func(tid, threads int, compute bool, sink *trace.Emitter) {
 			var psiVals, volVals, wVals []float64
 			if compute {
 				v := vals()

@@ -218,8 +218,7 @@ func nwProgram(n, tileSize int, padInput, padRef uint64) *Program {
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink *trace.Emitter) {
-			compute := threads == 1
+		runThread: func(tid, threads int, compute bool, sink *trace.Emitter) {
 			var inputVals []int32
 			if compute {
 				inputVals = vals().input

@@ -139,3 +139,52 @@ func TestRunThreadPipelinedAllocs(t *testing.T) {
 	}
 	t.Logf("pipelined run: %.0f allocs (1x), %.0f (10x)", a1, a10)
 }
+
+// TestRunAddressesPipelinedSkipsValues: building a case study and running
+// it address-only never fills its value arrays. Building one (Get and its
+// SpecBuilder, as an advise op starts) allocates the binaries, arenas and
+// specs of three programs, tens of KiB; once the emitter pool is warm, an
+// address-only run of a freshly built case study allocates a small
+// constant, while its first sequential Run allocates the arrays it computes
+// in (NW's two 1025x1025 int32 matrices alone are 8 MiB, symmetrization's
+// matrix 512 KiB).
+func TestRunAddressesPipelinedSkipsValues(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop values at random, so pooled allocation counts vary")
+	}
+	const runBudget, buildBudget = 64 << 10, 128 << 10
+	allocated := func(run func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var c trace.Counter
+	for _, name := range Names() {
+		var cs *CaseStudy
+		var err error
+		build := allocated(func() {
+			if cs, err = Get(name); err == nil {
+				cs.SpecBuilder()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.Optimized.RunAddressesPipelined(&c) // warm the emitter pool
+		p := cs.Original
+		addrs := allocated(func() { p.RunAddressesPipelined(&c) })
+		values := allocated(func() { p.RunThread(0, 1, &c) })
+		t.Logf("%s: build %d B, address-only run %d B, sequential run %d B", name, build, addrs, values)
+		if build > buildBudget {
+			t.Errorf("%s: building the case study allocated %d B, budget %d B", name, build, buildBudget)
+		}
+		if addrs > runBudget {
+			t.Errorf("%s: address-only run allocated %d B, budget %d B", name, addrs, runBudget)
+		}
+		if values < 4*runBudget {
+			t.Errorf("%s: sequential run allocated only %d B, so this test cannot tell a value fill apart", name, values)
+		}
+	}
+}

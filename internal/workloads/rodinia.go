@@ -53,7 +53,7 @@ func simpleKernel(name, file string, build func(b *objfile.Builder, ar *alloc.Ar
 		Binary: b.Finish(),
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink *trace.Emitter) {
+		runThread: func(tid, threads int, _ bool, sink *trace.Emitter) {
 			if tid == 0 {
 				run(sink)
 			}

@@ -73,27 +73,37 @@ func newBlockPrint() (trace.Sink, *streamPrint) {
 // streamSinks pairs each entry point with each consumer shape a producer
 // must serve with the same sequence: make builds a fresh sink with the
 // fingerprint it accumulates, run delivers one thread's stream to it.
+// Sequential entries deliver only the threads=1 stream.
 var streamSinks = []struct {
-	name string
-	make func() (trace.Sink, *streamPrint)
-	run  func(p *Program, tid, threads int, sink trace.Sink)
+	name       string
+	make       func() (trace.Sink, *streamPrint)
+	run        func(p *Program, tid, threads int, sink trace.Sink)
+	sequential bool
 }{
-	{"SinkFunc", newFuncPrint, (*Program).RunThread},
-	{"BlockSink", newBlockPrint, (*Program).RunThread},
-	{"PipelinedSinkFunc", newFuncPrint, (*Program).RunThreadPipelined},
-	{"PipelinedBlockSink", newBlockPrint, (*Program).RunThreadPipelined},
+	{"SinkFunc", newFuncPrint, (*Program).RunThread, false},
+	{"BlockSink", newBlockPrint, (*Program).RunThread, false},
+	{"PipelinedSinkFunc", newFuncPrint, (*Program).RunThreadPipelined, false},
+	{"PipelinedBlockSink", newBlockPrint, (*Program).RunThreadPipelined, false},
+	{"AddressesSinkFunc", newFuncPrint, runAddresses, true},
+	{"AddressesBlockSink", newBlockPrint, runAddresses, true},
 }
 
+// runAddresses delivers the address-only sequential stream.
+func runAddresses(p *Program, _, _ int, sink trace.Sink) { p.RunAddressesPipelined(sink) }
+
 // streamPrints runs every case-study variant (default scale) and every
-// Rodinia kernel at threads=1 and, per tid, at threads=2 through run into
-// sinks built by mk, one freshly constructed program per run so
-// data-dependent kernels start from their initial state. It returns one
-// "name threads/tid count hash" line per stream, in a fixed order.
+// Rodinia kernel at threads=1 and, unless sequential, per tid at threads=2
+// through run into sinks built by mk, one freshly constructed program per
+// run so data-dependent kernels start from their initial state. It returns
+// one "name threads/tid count hash" line per stream, in a fixed order.
 func streamPrints(t *testing.T, mk func() (trace.Sink, *streamPrint),
-	runThread func(p *Program, tid, threads int, sink trace.Sink)) []string {
+	runThread func(p *Program, tid, threads int, sink trace.Sink), sequential bool) []string {
 	t.Helper()
 	type run struct{ threads, tid int }
 	runs := []run{{1, 0}, {2, 0}, {2, 1}}
+	if sequential {
+		runs = runs[:1]
+	}
 	var lines []string
 	emit := func(name string, p *Program, r run) {
 		sink, fp := mk()
@@ -127,20 +137,32 @@ func streamPrints(t *testing.T, mk func() (trace.Sink, *streamPrint),
 // TestStreamFingerprints pins every workload's reference stream: the count
 // and FNV-1a-64 of each (program, threads, tid) stream must match the table
 // in testdata/streams.golden through a per-reference SinkFunc and a block
-// sink alike, from RunThread and RunThreadPipelined alike. Any change to a
-// kernel's emitted sequence, or to how either entry stages and delivers
-// it, shows here. Regenerate with
+// sink alike, from RunThread, RunThreadPipelined and (at threads=1, the
+// golden's "1/0" rows) RunAddressesPipelined alike. Any change to a
+// kernel's emitted sequence, to how an entry stages and delivers it, or a
+// stream that depends on whether the kernel computes its values, shows
+// here. Regenerate with
 // "go test ./internal/workloads -run TestStreamFingerprints -args -update"
 // only when a kernel's stream is meant to change.
 func TestStreamFingerprints(t *testing.T) {
 	if *update {
-		writeGoldenLines(t, streamPrints(t, streamSinks[0].make, streamSinks[0].run))
+		writeGoldenLines(t, streamPrints(t, streamSinks[0].make, streamSinks[0].run, false))
 	}
-	want := readGoldenLines(t)
+	all := readGoldenLines(t)
+	var seq []string
+	for _, l := range all {
+		if strings.Fields(l)[1] == "1/0" {
+			seq = append(seq, l)
+		}
+	}
 	for _, s := range streamSinks {
 		t.Run(s.name, func(t *testing.T) {
 			t.Parallel()
-			got := streamPrints(t, s.make, s.run)
+			want := all
+			if s.sequential {
+				want = seq
+			}
+			got := streamPrints(t, s.make, s.run, s.sequential)
 			if len(got) != len(want) {
 				t.Fatalf("%d streams, golden has %d", len(got), len(want))
 			}

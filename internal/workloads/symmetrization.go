@@ -69,22 +69,25 @@ func symmetrizationProgram(n, reps int, pad uint64) *Program {
 
 	// Element storage for the real computation; the address layout above
 	// decides cache behaviour, vals holds the numbers.
-	vals := make([]float64, n*n)
-	rng := stats.NewRand(1234)
-	initVals := func() {
-		for i := range vals {
-			vals[i] = rng.Float64()
+	vals := lazy(func() []float64 {
+		v := make([]float64, n*n)
+		rng := stats.NewRand(1234)
+		for i := range v {
+			v[i] = rng.Float64()
 		}
-	}
-	initVals()
+		return v
+	})
 
 	p := &Program{
 		Name:   name,
 		Binary: bin,
 		Arena:  ar,
 		Spec:   sp,
-		runThread: func(tid, threads int, sink *trace.Emitter) {
-			compute := threads == 1
+		runThread: func(tid, threads int, compute bool, sink *trace.Emitter) {
+			var aVals []float64
+			if compute {
+				aVals = vals()
+			}
 			lo, hi := span(n, tid, threads)
 			for r := 0; r < reps; r++ {
 				for i := lo; i < hi; i++ {
@@ -93,7 +96,7 @@ func symmetrizationProgram(n, reps int, pad uint64) *Program {
 						sink.Ref(trace.Ref{IP: ldCol, Addr: a.At(j, i)})
 						sink.Ref(trace.Ref{IP: stRow, Addr: a.At(i, j), Write: true})
 						if compute {
-							vals[i*n+j] = (vals[i*n+j] + vals[j*n+i]) / 2
+							aVals[i*n+j] = (aVals[i*n+j] + aVals[j*n+i]) / 2
 						}
 					}
 				}
@@ -107,10 +110,11 @@ func symmetrizationProgram(n, reps int, pad uint64) *Program {
 		// later (j,i) update uses the already-averaged A[i][j]... so we
 		// report the residue rather than asserting zero; the kernel's
 		// fixed point is symmetric and reps >= 2 converges.)
+		aVals := vals()
 		var res float64
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				d := vals[i*n+j] - vals[j*n+i]
+				d := aVals[i*n+j] - aVals[j*n+i]
 				if d < 0 {
 					d = -d
 				}

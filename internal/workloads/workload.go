@@ -33,7 +33,7 @@ import (
 // the static tiers build a program only to read its Spec — and the value
 // storage (an O(problem size) deterministic random fill) is by far the
 // most expensive part of construction, so the kernels allocate it only
-// when they actually run (or when Check sums the results).
+// when a run computes values (see checkThread) or Check sums the results.
 func lazy[T any](gen func() T) func() T {
 	var (
 		once sync.Once
@@ -64,14 +64,17 @@ type Program struct {
 	// runThread emits the references of one thread's partition of the
 	// work. Sequential kernels emit everything on thread 0. Kernels call
 	// sink.Ref on the concrete emitter, so every reference is a statically
-	// bound store into the emitter's current block.
-	runThread func(tid, threads int, sink *trace.Emitter)
+	// bound store into the emitter's current block. compute tells the
+	// kernel whether to also compute its real values; the run entries
+	// below decide it (see checkThread), never the kernel, and the
+	// emitted stream is the same either way.
+	runThread func(tid, threads int, compute bool, sink *trace.Emitter)
 
 	// Check, when non-nil, returns a checksum of the kernel's computed
 	// output after a sequential Run. The kernels compute their real
 	// results (alignment scores, transforms, stencil values) alongside
-	// address emission; multi-threaded runs emit addresses only, so
-	// Check is meaningful only after Run (threads == 1).
+	// address emission; multi-threaded and address-only runs emit
+	// addresses only, so Check is meaningful only after Run (threads == 1).
 	Check func() float64
 }
 
@@ -86,7 +89,8 @@ func NewProgram(name string, bin *objfile.Binary, ar *alloc.Arena,
 	if bin == nil || ar == nil || run == nil {
 		panic("workloads: NewProgram with nil component")
 	}
-	return &Program{Name: name, Binary: bin, Arena: ar, runThread: run}
+	return &Program{Name: name, Binary: bin, Arena: ar,
+		runThread: func(tid, threads int, _ bool, sink *trace.Emitter) { run(tid, threads, sink) }}
 }
 
 // emitters recycles staging emitters across RunThread and
@@ -116,10 +120,10 @@ func (p *Program) Run(sink trace.Sink) { p.RunThread(0, 1, sink) }
 // RunThreadPipelined is the overlapped variant for sinks that own all their
 // state.
 func (p *Program) RunThread(tid, threads int, sink trace.Sink) {
-	threads = checkThread(tid, threads)
+	threads, compute := checkThread(tid, threads)
 	e := emitters.Get()
 	e.Reset(sink)
-	p.runThread(tid, threads, e)
+	p.runThread(tid, threads, compute, e)
 	e.Flush()
 	e.ObserveInto(obs.Default)
 	e.Reset(nil) // drop the sink reference while pooled
@@ -142,24 +146,45 @@ func (p *Program) RunThread(tid, threads int, sink trace.Sink) {
 // stops the kernel at its next block handoff. Either way no goroutine
 // outlives the call.
 func (p *Program) RunThreadPipelined(tid, threads int, sink trace.Sink) {
-	threads = checkThread(tid, threads)
+	threads, compute := checkThread(tid, threads)
+	p.pipe(tid, threads, compute, sink)
+}
+
+// RunAddressesPipelined delivers the full sequential stream exactly as
+// RunThreadPipelined(0, 1, sink) does — the same references in the same
+// blocks — but the kernel skips its numerics: it neither computes nor
+// allocates its value arrays, so Check reports nothing about the run. It
+// is for consumers of the address sequence alone, like the advisor's
+// candidate simulations, where the values are work nobody reads. A run
+// that stands for the program itself (Run, a profile) keeps its values. A
+// kernel from NewProgram is not told to skip its values, so it runs as
+// under RunThreadPipelined.
+func (p *Program) RunAddressesPipelined(sink trace.Sink) { p.pipe(0, 1, false, sink) }
+
+// pipe runs thread tid of threads on a goroutine of its own, delivering its
+// stream to sink on the caller's.
+func (p *Program) pipe(tid, threads int, compute bool, sink trace.Sink) {
 	e := emitters.Get()
-	e.Pipe(sink, func(e *trace.Emitter) { p.runThread(tid, threads, e) })
+	e.Pipe(sink, func(e *trace.Emitter) { p.runThread(tid, threads, compute, e) })
 	e.ObserveInto(obs.Default)
 	e.Reset(nil)
 	emitters.Put(e) // only reached once the producer has exited
 }
 
 // checkThread validates a thread index and returns the effective thread
-// count.
-func checkThread(tid, threads int) int {
+// count and whether the run computes the kernel's values: only a
+// sequential run does, because the threads of a multi-threaded run would
+// share one copy of each value array. Every run entry but
+// RunAddressesPipelined, which never computes, takes the decision from
+// here.
+func checkThread(tid, threads int) (int, bool) {
 	if threads < 1 {
 		threads = 1
 	}
 	if tid < 0 || tid >= threads {
 		panic(fmt.Sprintf("workloads: thread %d out of range [0,%d)", tid, threads))
 	}
-	return threads
+	return threads, threads == 1
 }
 
 // Record runs the program sequentially into a Recorder and returns it.
