@@ -38,9 +38,9 @@ type Candidate struct {
 // Result is the advisor's recommendation.
 type Result struct {
 	// Best is the recommended candidate: among the candidates whose
-	// exact CF is below ConflictCF (all candidates when none qualifies),
-	// the smallest pad within Tolerance of the minimum cycle cost
-	// (smaller pads waste less memory).
+	// exact CF is below 0.25 (conflictCF; all candidates when none
+	// qualifies), the smallest pad within 2% (tolerance) of the minimum
+	// cycle cost (smaller pads waste less memory).
 	Best Candidate
 	// Baseline is the pad-0 candidate, for comparison.
 	Baseline Candidate
@@ -100,18 +100,8 @@ type Options struct {
 	Geom mem.Geometry // zero selects mem.L1Default()
 	// Pads are the candidate pad sizes; nil selects DefaultPads.
 	Pads []uint64
-	// Tolerance is the relative slack for "as good as the best" when
-	// preferring smaller pads; 0 selects 0.02 (2%).
-	Tolerance float64
 	// MaxRefs caps the simulated references per candidate (0 = all).
 	MaxRefs uint64
-	// ConflictCF is the exact short-RCD contribution factor at or above
-	// which a simulated candidate still counts as conflicted. The
-	// recommendation prefers candidates below it — the advisor's job is
-	// to remove the conflict signature, not merely to shave cycles (a
-	// pad can score well on cycles because its extra L1 conflict misses
-	// hit in L2). 0 selects 0.25; 1 or more ranks on cycles alone.
-	ConflictCF float64
 	// Tiers selects the advisor cascade (analytic → full simulation).
 	// With the analytic tier active, candidate pads are ruled out before
 	// any cache simulation runs: only pad 0, pads whose spec is
@@ -123,7 +113,7 @@ type Options struct {
 	//
 	// The pruning is simulation-verified: when an analytically-clean pad
 	// measures conflicted under simulation (the model was wrong there),
-	// or no simulated candidate clears ConflictCF, the advisor escalates
+	// or no simulated candidate scores a CF below 0.25, the advisor escalates
 	// — it pulls the next StaticKeep analytically-clean pads out of the
 	// pruned surplus and simulates them too, batch by batch, until a
 	// batch confirms the model's verdicts or the surplus runs out. A
@@ -144,6 +134,19 @@ type Options struct {
 	// the process default (GOMAXPROCS, or the -j flag of cmd/ccprof).
 	Workers int
 }
+
+const (
+	// tolerance is the relative slack for "as good as the best" when
+	// preferring smaller pads: 0.02 (2%).
+	tolerance = 0.02
+	// conflictCF is the exact short-RCD contribution factor at or above
+	// which a simulated candidate still counts as conflicted: 0.25. The
+	// recommendation prefers candidates below it — the advisor's job is
+	// to remove the conflict signature, not merely to shave cycles (a
+	// pad can score well on cycles because its extra L1 conflict misses
+	// hit in L2).
+	conflictCF = 0.25
+)
 
 // TierPolicy selects whether the advisor cascade prunes the candidate
 // list before full simulation. The zero value disables pruning;
@@ -180,14 +183,6 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 	}
 	if len(pads) == 0 {
 		return Result{}, fmt.Errorf("advisor: no candidate pads")
-	}
-	tol := opts.Tolerance
-	if tol == 0 {
-		tol = 0.02
-	}
-	cfLimit := opts.ConflictCF
-	if cfLimit == 0 {
-		cfLimit = 0.25
 	}
 	keep := opts.StaticKeep
 	if keep == 0 {
@@ -259,7 +254,7 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 	for len(surplus) > 0 {
 		disagree := false
 		for _, c := range batch {
-			if vetted[c.Pad] && c.CF >= cfLimit {
+			if vetted[c.Pad] && c.CF >= conflictCF {
 				disagree = true
 				break
 			}
@@ -267,7 +262,7 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 		if !disagree {
 			poolOK := false
 			for _, c := range res.Candidates {
-				if c.CF < cfLimit {
+				if c.CF < conflictCF {
 					poolOK = true
 					break
 				}
@@ -329,7 +324,7 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 	// all — fall back to ranking every candidate on cycles.
 	pool := res.Candidates[:0:0]
 	for _, c := range res.Candidates {
-		if c.CF < cfLimit {
+		if c.CF < conflictCF {
 			pool = append(pool, c)
 		}
 	}
@@ -342,7 +337,7 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 			min = c.Cycles
 		}
 	}
-	limit := uint64(float64(min) * (1 + tol))
+	limit := uint64(float64(min) * (1 + tolerance))
 	best := pool[0]
 	found := false
 	for _, c := range pool {

@@ -52,9 +52,6 @@ const DefaultBase = 0x10_0000
 // NewArena returns an empty arena starting at DefaultBase.
 func NewArena() *Arena { return &Arena{next: DefaultBase} }
 
-// NewArenaAt returns an empty arena starting at base.
-func NewArenaAt(base uint64) *Arena { return &Arena{next: base} }
-
 // Alloc reserves size bytes aligned to align (which must be a power of two;
 // 0 means 64, one cache line — the alignment glibc effectively gives large
 // arrays) and records the block under name.

@@ -140,19 +140,6 @@ func TestMatrix2DPaddingShiftsSets(t *testing.T) {
 	}
 }
 
-func TestMatrix2DAtChecked(t *testing.T) {
-	a := NewArena()
-	m := NewMatrix2D(a, "m", 2, 2, 8, 0)
-	if _, err := m.AtChecked(1, 1); err != nil {
-		t.Errorf("in-bounds AtChecked errored: %v", err)
-	}
-	for _, c := range [][2]int{{-1, 0}, {0, -1}, {2, 0}, {0, 2}} {
-		if _, err := m.AtChecked(c[0], c[1]); err == nil {
-			t.Errorf("AtChecked(%d,%d) should error", c[0], c[1])
-		}
-	}
-}
-
 func TestMatrix2DInvalidPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

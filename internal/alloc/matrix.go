@@ -13,6 +13,7 @@ type Matrix2D struct {
 	Rows, Cols int
 	Elem       uint64 // element size in bytes
 	RowPad     uint64 // extra bytes appended to each row
+	rowStride  uint64 // Cols*Elem + RowPad, fixed at construction
 }
 
 // NewMatrix2D reserves a rows x cols matrix of elem-byte elements with
@@ -21,27 +22,18 @@ func NewMatrix2D(a *Arena, name string, rows, cols int, elem, rowPad uint64) *Ma
 	if rows <= 0 || cols <= 0 || elem == 0 {
 		panic(fmt.Sprintf("alloc: invalid matrix %s: %dx%d elem=%d", name, rows, cols, elem))
 	}
-	stride := uint64(cols)*elem + rowPad
-	m := &Matrix2D{Rows: rows, Cols: cols, Elem: elem, RowPad: rowPad}
-	m.Block = a.Alloc(name, uint64(rows)*stride, 64)
+	m := &Matrix2D{Rows: rows, Cols: cols, Elem: elem, RowPad: rowPad, rowStride: uint64(cols)*elem + rowPad}
+	m.Block = a.Alloc(name, uint64(rows)*m.rowStride, 64)
 	return m
 }
 
 // RowStride returns the byte distance between the starts of adjacent rows.
-func (m *Matrix2D) RowStride() uint64 { return uint64(m.Cols)*m.Elem + m.RowPad }
+func (m *Matrix2D) RowStride() uint64 { return m.rowStride }
 
-// At returns the address of element (i, j). Bounds are checked in tests via
-// AtChecked; At itself is the hot path and does no checking.
+// At returns the address of element (i, j). It is the emission hot path
+// and does no bounds checking.
 func (m *Matrix2D) At(i, j int) uint64 {
-	return m.Start + uint64(i)*m.RowStride() + uint64(j)*m.Elem
-}
-
-// AtChecked is At with bounds checking, for tests and defensive callers.
-func (m *Matrix2D) AtChecked(i, j int) (uint64, error) {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		return 0, fmt.Errorf("alloc: %s[%d][%d] out of bounds (%dx%d)", m.Name, i, j, m.Rows, m.Cols)
-	}
-	return m.At(i, j), nil
+	return m.Start + uint64(i)*m.rowStride + uint64(j)*m.Elem
 }
 
 // Matrix3D is the row-major address layout of a 3-D array with optional pads
@@ -52,10 +44,12 @@ func (m *Matrix2D) AtChecked(i, j int) (uint64, error) {
 // Start + i*PlaneStride + j*RowStride + k*Elem.
 type Matrix3D struct {
 	Block
-	Ni, Nj, Nk int
-	Elem       uint64
-	RowPad     uint64 // extra bytes after each k-row
-	PlanePad   uint64 // extra bytes after each (j,k) plane
+	Ni, Nj, Nk  int
+	Elem        uint64
+	RowPad      uint64 // extra bytes after each k-row
+	PlanePad    uint64 // extra bytes after each (j,k) plane
+	rowStride   uint64 // Nk*Elem + RowPad, fixed at construction
+	planeStride uint64 // Nj*rowStride + PlanePad, fixed at construction
 }
 
 // NewMatrix3D reserves an ni x nj x nk array of elem-byte elements.
@@ -63,20 +57,22 @@ func NewMatrix3D(a *Arena, name string, ni, nj, nk int, elem, rowPad, planePad u
 	if ni <= 0 || nj <= 0 || nk <= 0 || elem == 0 {
 		panic(fmt.Sprintf("alloc: invalid 3d matrix %s: %dx%dx%d elem=%d", name, ni, nj, nk, elem))
 	}
-	m := &Matrix3D{Ni: ni, Nj: nj, Nk: nk, Elem: elem, RowPad: rowPad, PlanePad: planePad}
-	m.Block = a.Alloc(name, uint64(ni)*m.PlaneStride(), 64)
+	rowStride := uint64(nk)*elem + rowPad
+	m := &Matrix3D{Ni: ni, Nj: nj, Nk: nk, Elem: elem, RowPad: rowPad, PlanePad: planePad,
+		rowStride: rowStride, planeStride: uint64(nj)*rowStride + planePad}
+	m.Block = a.Alloc(name, uint64(ni)*m.planeStride, 64)
 	return m
 }
 
 // RowStride returns the byte distance between adjacent j indices.
-func (m *Matrix3D) RowStride() uint64 { return uint64(m.Nk)*m.Elem + m.RowPad }
+func (m *Matrix3D) RowStride() uint64 { return m.rowStride }
 
 // PlaneStride returns the byte distance between adjacent i indices.
-func (m *Matrix3D) PlaneStride() uint64 { return uint64(m.Nj)*m.RowStride() + m.PlanePad }
+func (m *Matrix3D) PlaneStride() uint64 { return m.planeStride }
 
 // At returns the address of element (i, j, k).
 func (m *Matrix3D) At(i, j, k int) uint64 {
-	return m.Start + uint64(i)*m.PlaneStride() + uint64(j)*m.RowStride() + uint64(k)*m.Elem
+	return m.Start + uint64(i)*m.planeStride + uint64(j)*m.rowStride + uint64(k)*m.Elem
 }
 
 // Vector is the address layout of a 1-D array.

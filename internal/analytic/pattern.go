@@ -69,15 +69,6 @@ func (p pattern) extent() int64 {
 	return e
 }
 
-// leaves is the number of dense blocks the pattern replicates.
-func (p pattern) leaves() int64 {
-	n := int64(1)
-	for _, l := range p.levels {
-		n *= l.trip
-	}
-	return n
-}
-
 // compose builds the pattern of an access with the given base, element
 // size and dims. Zero-stride dims contribute no addresses — they are
 // pure temporal multiplicity — and are returned as the revisit factor.

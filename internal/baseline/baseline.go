@@ -115,6 +115,3 @@ func (d *DProf) Imbalance() float64 {
 // Verdict flags a conflict when the global imbalance exceeds factor (a
 // typical setting is 4: some set receives over 4x the uniform share).
 func (d *DProf) Verdict(factor float64) bool { return d.Imbalance() >= factor }
-
-// Samples returns the number of observed samples.
-func (d *DProf) Samples() uint64 { return d.total }

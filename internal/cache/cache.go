@@ -414,31 +414,6 @@ func (c *Cache) blockMisses8(addrs []uint64, dst []int32) []int32 {
 	return d[:nd]
 }
 
-// Contains reports whether the line holding addr is currently resident.
-// It does not update replacement state.
-func (c *Cache) Contains(addr uint64) bool {
-	set := c.Geom.Set(addr)
-	tag := c.Geom.Tag(addr)
-	if c.lines != nil {
-		line := addr >> c.offBits
-		base := set * c.ways
-		seg := c.lines[base : base+c.ways]
-		for j := range seg {
-			if seg[j] == line {
-				return true
-			}
-		}
-		return false
-	}
-	ways := c.sets[set*c.Geom.Ways : (set+1)*c.Geom.Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Accesses returns the total number of accesses simulated.
 func (c *Cache) Accesses() uint64 { return c.Hits + c.Misses }
 

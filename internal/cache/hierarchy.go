@@ -15,20 +15,6 @@ const (
 	LevelMem = 3
 )
 
-// LevelName returns a printable name for a service level.
-func LevelName(level int) string {
-	switch level {
-	case LevelL1:
-		return "L1"
-	case LevelL2:
-		return "L2"
-	case LevelLLC:
-		return "LLC"
-	default:
-		return "Mem"
-	}
-}
-
 // System simulates a multi-core cache hierarchy: private L1 and L2 per
 // core and one shared LLC, with a fixed-latency cycle model. It drives the
 // Table 3 experiments (cache-miss reductions per level and estimated

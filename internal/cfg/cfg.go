@@ -285,28 +285,3 @@ func (g *Graph) BlockAt(addr uint64) (*Block, bool) {
 	}
 	return nil, false
 }
-
-// Entry returns the entry block.
-func (g *Graph) Entry() *Block { return g.Blocks[0] }
-
-// ReversePostorder returns reachable block IDs in reverse postorder from the
-// entry. Unreachable blocks are omitted.
-func (g *Graph) ReversePostorder() []int {
-	seen := make([]bool, len(g.Blocks))
-	var post []int
-	var dfs func(int)
-	dfs = func(id int) {
-		seen[id] = true
-		for _, s := range g.Blocks[id].Succs {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, id)
-	}
-	dfs(0)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}

@@ -64,18 +64,6 @@ func (f *Forest) InnermostAt(addr uint64) *Loop {
 	return f.innermost[b.ID]
 }
 
-// InnerLoops returns the loops with no children (the innermost loops),
-// which is what the paper counts as "active inner loops" in Table 2.
-func (f *Forest) InnerLoops() []*Loop {
-	var out []*Loop
-	for _, l := range f.Loops {
-		if len(l.Children) == 0 {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // havlakScratch is FindLoops' reusable working state. Every slice is resized
 // (never shrunk) per call, so a Graph analyzing a stream of similarly-sized
 // binaries stops allocating after the first few.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/cfg"
-	"repro/internal/classify"
 	"repro/internal/objfile"
 	"repro/internal/obs"
 	"repro/internal/parsim"
@@ -43,7 +42,8 @@ type LoopReport struct {
 	CDF []CDFPoint
 }
 
-// CDFPoint mirrors stats.CDFPoint for report consumers.
+// CDFPoint is one point of an RCD distribution: the fraction Cum of
+// samples whose RCD is at most RCD.
 type CDFPoint struct {
 	RCD int
 	Cum float64
@@ -106,25 +106,20 @@ func (a *Analysis) TargetLoop(name string) (LoopReport, bool) {
 }
 
 // AnalyzeOptions configures the offline analyzer. The zero value uses the
-// paper's threshold T = 8 and the built-in classifier model.
+// paper's threshold T = 8. Verdicts always come from the built-in
+// classifier model (DefaultModel), and a loop with fewer than 8 samples
+// (minLoopSamples) is never flagged.
 type AnalyzeOptions struct {
-	Threshold int                // 0 selects rcd.DefaultThreshold
-	Model     *classify.Logistic // nil selects DefaultModel()
-	// MinLoopSamples suppresses loops with fewer samples from conflict
-	// classification (they get Conflict=false); default 8.
-	MinLoopSamples int
+	Threshold int // 0 selects rcd.DefaultThreshold
 }
+
+// minLoopSamples suppresses loops with fewer samples from conflict
+// classification (they get Conflict=false): 8.
+const minLoopSamples = 8
 
 func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
 	if o.Threshold == 0 {
 		o.Threshold = rcd.DefaultThreshold
-	}
-	if o.Model == nil {
-		DefaultModel() // ensure the builtin model is trained
-		o.Model = &defaultModel
-	}
-	if o.MinLoopSamples == 0 {
-		o.MinLoopSamples = 8
 	}
 	return o
 }

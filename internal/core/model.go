@@ -47,11 +47,3 @@ func DefaultModel() classify.Logistic {
 	})
 	return defaultModel
 }
-
-// TrainingSet returns a copy of the embedded training data, for the
-// accuracy experiments that retrain at different sampling periods.
-func TrainingSet() ([]float64, []bool) {
-	cf := append([]float64(nil), builtinTraining.cf...)
-	labels := append([]bool(nil), builtinTraining.labels...)
-	return cf, labels
-}

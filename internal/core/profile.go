@@ -141,6 +141,9 @@ func (o ProfileOptions) resolve() (ProfileOptions, error) {
 	if err := (pmu.Config{Geom: o.Geom, Period: o.Period, Burst: o.Burst}).Validate(); err != nil {
 		return o, fmt.Errorf("core: profile config: %w", err)
 	}
+	if o.Burst < 1 {
+		o.Burst = 1 // 0 and 1 both sample single events
+	}
 	return o, nil
 }
 
@@ -185,15 +188,25 @@ func ProfileProgram(p *workloads.Program, opts ProfileOptions) (*Profile, error)
 	sp := obs.Default.Span("profile")
 	defer sp.End()
 	obs.Default.Counter("profile.runs").Inc()
-	burst := o.Burst
-	if burst < 1 {
-		burst = 1
-	}
+	// Each thread is a two-stage pipeline (RunThreadPipelined): the kernel
+	// emits on a goroutine of its own while the sampler, which owns all its
+	// state, consumes the blocks on the thread's goroutine, so emission and
+	// the simulated PMU overlap as PEBS hardware does beside the program.
+	return profileThreads(p, o, p.RunThreadPipelined, nil), nil
+}
+
+// profileThreads is the run ProfileProgram and ProfileStream share: it
+// times a baseline run unless o.NoTime, then runs every thread through
+// run into a pooled per-thread sampler and folds the samplers' counters
+// into the returned Profile. When handler is nil each thread's samples
+// are copied into Profile.Samples; otherwise thread tid's sampler hands
+// every sample to handler(tid) and only their count is kept.
+func profileThreads(p *workloads.Program, o ProfileOptions, run func(tid, threads int, sink trace.Sink), handler func(tid int) func(pmu.Sample)) *Profile {
 	prof := &Profile{
 		Workload:   p.Name,
 		Geom:       o.Geom,
 		PeriodMean: o.Period.Mean(),
-		Burst:      burst,
+		Burst:      o.Burst,
 		Samples:    make([][]pmu.Sample, o.Threads),
 	}
 
@@ -210,12 +223,6 @@ func ProfileProgram(p *workloads.Program, opts ProfileOptions) (*Profile, error)
 	// so the result is deterministic regardless of scheduling. Per-thread
 	// seeds follow the engine's derivation scheme (root ⊕ stable task
 	// key), decorrelating thread sampling phases even for adjacent roots.
-	//
-	// Samplers come from a process-wide pool: Reconfigure rewinds a reused
-	// sampler to the exact state NewSampler would construct, so sweeps that
-	// profile hundreds of candidates stop reallocating the L1 model and
-	// sample buffer per run. The per-thread Samples slice is copied out at
-	// exact size before the sampler returns to the pool.
 	start := time.Now()
 	getSampler := func(tid int) *pmu.Sampler {
 		seed := o.Seed
@@ -229,18 +236,12 @@ func ProfileProgram(p *workloads.Program, opts ProfileOptions) (*Profile, error)
 			// bookkeeping).
 			cfg.Faults = o.Faults.Injector(fmt.Sprintf("faults/%s/thread/%d", p.Name, tid))
 		}
-		s := samplerPool.Get()
-		if s == nil {
-			s = pmu.NewSampler(cfg)
-		} else {
-			s.Reconfigure(cfg)
+		s := pooledSampler(cfg)
+		if handler != nil {
+			s.Handler = handler(tid)
 		}
 		return s
 	}
-	// Each thread is a two-stage pipeline (RunThreadPipelined): the kernel
-	// emits on a goroutine of its own while the sampler, which owns all its
-	// state, consumes the blocks on the thread's goroutine, so emission and
-	// the simulated PMU overlap as PEBS hardware does beside the program.
 	var samplers []*pmu.Sampler
 	if o.Threads == 1 {
 		// The single-thread profile — every sweep task — samples on the
@@ -249,20 +250,23 @@ func ProfileProgram(p *workloads.Program, opts ProfileOptions) (*Profile, error)
 		s := getSampler(0)
 		one := [1]*pmu.Sampler{s}
 		samplers = one[:]
-		p.RunThreadPipelined(0, 1, s)
+		run(0, 1, s)
 	} else {
 		samplers = make([]*pmu.Sampler, o.Threads)
 		for tid := range samplers {
 			samplers[tid] = getSampler(tid)
 		}
-		runThreads(o.Threads, func(tid int) { p.RunThreadPipelined(tid, o.Threads, samplers[tid]) })
+		runThreads(o.Threads, func(tid int) { run(tid, o.Threads, samplers[tid]) })
 	}
 	// Merge-on-reassembly: each thread's sampler counted in shard-local
 	// fields; fold the totals into the process registry here, once per
 	// run, in thread order. Sums commute, so the merged counters are
 	// identical at any scheduling.
 	for tid, s := range samplers {
-		if len(s.Samples) > 0 {
+		if s.Handler != nil {
+			prof.StreamSamples += int(s.SampleCount())
+			s.Handler = nil // drop the analyzer reference before pooling
+		} else if len(s.Samples) > 0 {
 			prof.Samples[tid] = append([]pmu.Sample(nil), s.Samples...)
 		}
 		prof.Events += s.Events
@@ -276,5 +280,19 @@ func ProfileProgram(p *workloads.Program, opts ProfileOptions) (*Profile, error)
 	if !o.NoTime {
 		prof.ProfiledNs = time.Since(start).Nanoseconds()
 	}
-	return prof, nil
+	return prof
+}
+
+// pooledSampler takes a sampler from samplerPool and rewinds it to the
+// exact state pmu.NewSampler(cfg) would construct, so sweeps that profile
+// hundreds of candidates stop reallocating the L1 model and sample buffer
+// per run. Callers copy out what they keep before returning it to the
+// pool.
+func pooledSampler(cfg pmu.Config) *pmu.Sampler {
+	s := samplerPool.Get()
+	if s == nil {
+		return pmu.NewSampler(cfg)
+	}
+	s.Reconfigure(cfg)
+	return s
 }

@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/cfg"
 	"repro/internal/mem"
 	"repro/internal/objfile"
 	"repro/internal/obs"
-	"repro/internal/parsim"
 	"repro/internal/pmu"
 	"repro/internal/rcd"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -247,6 +244,7 @@ func (ss *streamState) finish(workload string) *Analysis {
 	defer ss.release()
 	o := ss.o
 	at := ss.at
+	model := DefaultModel()
 	an := &Analysis{
 		Workload:     workload,
 		Threshold:    o.Threshold,
@@ -258,7 +256,7 @@ func (ss *streamState) finish(workload string) *Analysis {
 	pooledGlobal := poolTrackers(ss.globals, o.Threshold)
 	an.CF = pooledGlobal.cf
 	an.CDF = pooledGlobal.cdf
-	an.Conflict = an.TotalSamples >= o.MinLoopSamples && o.Model.Predict(an.CF)
+	an.Conflict = an.TotalSamples >= minLoopSamples && model.Predict(an.CF)
 
 	// Per-loop reports.
 	an.Loops = make([]LoopReport, 0, len(at.active))
@@ -275,7 +273,7 @@ func (ss *streamState) finish(workload string) *Analysis {
 			VictimSets:   pooled.victims,
 			CDF:          pooled.cdf,
 		}
-		rep.Conflict = st.samples >= o.MinLoopSamples && o.Model.Predict(rep.CF)
+		rep.Conflict = st.samples >= minLoopSamples && model.Predict(rep.CF)
 		an.Loops = append(an.Loops, rep)
 		if len(st.loop.Children) == 0 {
 			an.ActiveInnerLoops++
@@ -417,83 +415,16 @@ func ProfileStream(p *workloads.Program, opts ProfileOptions, aopts AnalyzeOptio
 	if err != nil {
 		return nil, nil, err
 	}
-	burst := o.Burst
-	if burst < 1 {
-		burst = 1
-	}
-	sa, err := NewStreamAnalyzer(p.Binary, p.Arena, o.Geom, o.Threads, burst, aopts)
+	sa, err := NewStreamAnalyzer(p.Binary, p.Arena, o.Geom, o.Threads, o.Burst, aopts)
 	if err != nil {
 		return nil, nil, err
 	}
 
+	// Each sampler gets a Handler, so deliver() hands every sample to the
+	// analyzer instead of appending to the sampler's buffer.
 	sp := obs.Default.Span("profile")
 	obs.Default.Counter("profile.runs").Inc()
-	prof := &Profile{
-		Workload:   p.Name,
-		Geom:       o.Geom,
-		PeriodMean: o.Period.Mean(),
-		Burst:      burst,
-		Samples:    make([][]pmu.Sample, o.Threads),
-	}
-
-	if !o.NoTime {
-		start := time.Now()
-		for tid := 0; tid < o.Threads; tid++ {
-			p.RunThread(tid, o.Threads, trace.Discard)
-		}
-		prof.BaselineNs = time.Since(start).Nanoseconds()
-	}
-
-	// The run mirrors ProfileProgram exactly — pooled per-thread samplers,
-	// derived seeds, per-thread fault injectors — except that each sampler
-	// gets a Handler, so deliver() hands every sample to the analyzer
-	// instead of appending to the sampler's buffer.
-	start := time.Now()
-	getSampler := func(tid int) *pmu.Sampler {
-		seed := o.Seed
-		if tid > 0 {
-			seed = parsim.DeriveSeed(o.Seed, fmt.Sprintf("thread/%d", tid))
-		}
-		cfg := pmu.Config{Geom: o.Geom, Period: o.Period, Seed: seed, Burst: o.Burst}
-		if o.Faults.Active() {
-			cfg.Faults = o.Faults.Injector(fmt.Sprintf("faults/%s/thread/%d", p.Name, tid))
-		}
-		s := samplerPool.Get()
-		if s == nil {
-			s = pmu.NewSampler(cfg)
-		} else {
-			s.Reconfigure(cfg)
-		}
-		s.Handler = sa.HandlerFor(tid)
-		return s
-	}
-	var samplers []*pmu.Sampler
-	if o.Threads == 1 {
-		s := getSampler(0)
-		one := [1]*pmu.Sampler{s}
-		samplers = one[:]
-		p.RunThread(0, 1, s)
-	} else {
-		samplers = make([]*pmu.Sampler, o.Threads)
-		for tid := range samplers {
-			samplers[tid] = getSampler(tid)
-		}
-		runThreads(o.Threads, func(tid int) { p.RunThread(tid, o.Threads, samplers[tid]) })
-	}
-	for _, s := range samplers {
-		prof.StreamSamples += int(s.SampleCount())
-		prof.Events += s.Events
-		prof.Refs += s.Refs
-		prof.FaultDropped += s.FaultDropped
-		prof.FaultTruncated += s.FaultTruncated
-		prof.FaultCorrupted += s.FaultCorrupted
-		s.ObserveInto(obs.Default)
-		s.Handler = nil // drop the analyzer reference before pooling
-		samplerPool.Put(s)
-	}
-	if !o.NoTime {
-		prof.ProfiledNs = time.Since(start).Nanoseconds()
-	}
+	prof := profileThreads(p, o, p.RunThread, sa.HandlerFor)
 	sp.End()
 
 	asp := obs.Default.Span("analyze")

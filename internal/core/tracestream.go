@@ -161,12 +161,7 @@ func profileSegment(open func() (io.ReadSeeker, error), start, end trace.StreamP
 		Seed:   parsim.DeriveSeed(o.Seed, fmt.Sprintf("shard/%d", i)),
 		Burst:  o.Burst,
 	}
-	s := samplerPool.Get()
-	if s == nil {
-		s = pmu.NewSampler(cfg)
-	} else {
-		s.Reconfigure(cfg)
-	}
+	s := pooledSampler(cfg)
 	defer samplerPool.Put(s)
 
 	for rt.Pos().Frame < end.Frame {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -71,17 +70,4 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// All runs every experiment in name order, separated by headers.
-func All(w io.Writer, scale Scale) error {
-	reg := Registry()
-	for _, name := range Names() {
-		fprintf(w, "================ %s ================\n", name)
-		if err := reg[name](w, scale); err != nil {
-			return fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		fprintf(w, "\n")
-	}
-	return nil
 }

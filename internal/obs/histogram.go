@@ -28,9 +28,6 @@ func (h *Histogram) Observe(v uint64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
 // Bucket is one populated log2 bucket of a histogram snapshot: the value
 // range [Lo, Hi] and the observation count.
 type Bucket struct {

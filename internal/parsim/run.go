@@ -108,9 +108,6 @@ type Report struct {
 	Failed []*ShardError
 }
 
-// Degraded reports whether the sweep lost shards.
-func (r *Report) Degraded() bool { return len(r.Failed) > 0 }
-
 // ShardsLost returns the number of shards that produced no result.
 func (r *Report) ShardsLost() int { return len(r.Failed) }
 

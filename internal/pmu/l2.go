@@ -92,6 +92,3 @@ func (s *L2Sampler) RefBlock(b *trace.RefBlock) {
 		s.Samples = append(s.Samples, PhysSample{IP: b.IP[i], VAddr: addr, PAddr: paddr})
 	}
 }
-
-// L2MissRatio returns misses/accesses at the L2.
-func (s *L2Sampler) L2MissRatio() float64 { return s.l2.MissRatio() }

@@ -317,11 +317,3 @@ func (s *Sampler) deliver(r trace.Ref) {
 // SampleCount returns the number of samples taken so far, whether buffered
 // in Samples or delivered to Handler.
 func (s *Sampler) SampleCount() uint64 { return s.count }
-
-// RaisedCount returns the number of samples the hardware raised, before
-// fault injection and buffer bounds discarded any; the denominator of every
-// loss-rate calculation.
-func (s *Sampler) RaisedCount() uint64 { return s.raised }
-
-// MissRatio returns the L1 miss ratio the hardware observed.
-func (s *Sampler) MissRatio() float64 { return s.l1.MissRatio() }

@@ -139,10 +139,6 @@ func (t *Tracker) ContributionFactor(threshold int) float64 {
 	return float64(t.ShortCount(threshold)) / float64(t.pos)
 }
 
-// CDF returns the cumulative distribution of pooled RCDs — the curves of
-// Figures 7 and 9.
-func (t *Tracker) CDF() []stats.CDFPoint { return t.pooled.CDF() }
-
 // Imbalance returns the ratio between the busiest set's miss count and the
 // mean per-set miss count: 1 means perfectly balanced traffic, large values
 // mean a few victim sets absorb the misses (Observation 1).
@@ -158,20 +154,4 @@ func (t *Tracker) Imbalance() float64 {
 	}
 	mean := float64(t.pos) / float64(t.sets)
 	return float64(max) / mean
-}
-
-// VictimSets returns the sets whose miss share exceeds share times the
-// uniform share 1/Sets, ordered by set index — the "victim sets" of §3.
-func (t *Tracker) VictimSets(share float64) []int {
-	if t.pos == 0 {
-		return nil
-	}
-	uniform := float64(t.pos) / float64(t.sets)
-	var out []int
-	for s, m := range t.misses {
-		if float64(m) > share*uniform {
-			out = append(out, s)
-		}
-	}
-	return out
 }

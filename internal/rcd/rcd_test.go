@@ -92,9 +92,6 @@ func TestEmptyTracker(t *testing.T) {
 	if tr.ContributionFactor(8) != 0 || tr.Imbalance() != 0 || tr.VictimSets(2) != nil {
 		t.Error("empty tracker should report zeros")
 	}
-	if tr.CDF() != nil {
-		t.Error("empty tracker CDF should be nil")
-	}
 }
 
 func TestObserveOutOfRangePanics(t *testing.T) {

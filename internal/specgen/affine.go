@@ -66,9 +66,6 @@ func aIvar(iv *ivar) *affine { return &affine{terms: []term{{iv: iv, c: 1}}} }
 
 func (a *affine) isConst() bool { return len(a.terms) == 0 }
 
-// constVal returns the constant value; only meaningful when isConst.
-func (a *affine) constVal() int64 { return a.c0 }
-
 func (a *affine) coeff(iv *ivar) int64 {
 	for _, t := range a.terms {
 		if t.iv == iv {
@@ -76,10 +73,6 @@ func (a *affine) coeff(iv *ivar) int64 {
 		}
 	}
 	return 0
-}
-
-func (a *affine) clone() *affine {
-	return &affine{c0: a.c0, terms: append([]term(nil), a.terms...)}
 }
 
 func aAdd(a, b *affine) *affine {

@@ -377,11 +377,6 @@ func (in *interp) allocCall(name string, args []value) (value, error) {
 	switch name {
 	case "NewArena":
 		return newArena(), nil
-	case "NewArenaAt":
-		if base, ok := concrete(0); ok {
-			return &vArena{next: uint64(base)}, nil
-		}
-		return unknown("arena at non-concrete base"), nil
 	case "NewMatrix2D":
 		ar := arena(0)
 		rows, ok1 := concrete(2)
@@ -491,7 +486,7 @@ func (in *interp) modelMethod(recv value, name string, args []value) (value, err
 		}
 	case *vMatrix2D:
 		switch name {
-		case "At", "AtChecked":
+		case "At":
 			i, whyI := affineArg(0)
 			j, whyJ := affineArg(1)
 			if i == nil || j == nil {

@@ -212,7 +212,7 @@ func (in *interp) evalPkgDecl(d *ast.GenDecl) {
 }
 
 // Block is one arena allocation of the extracted program, used by the
-// drift lint and the trace verifier to clip footprints to real extents.
+// tests' drift lint and trace verifier to clip footprints to real extents.
 type Block struct {
 	Name  string
 	Start uint64
@@ -244,11 +244,6 @@ type Extraction struct {
 	Events       int
 	AffineEvents int
 	Notes        []string
-}
-
-// Analyzable reports whether every reference site was affine.
-func (e *Extraction) Analyzable() bool {
-	return len(e.Unanalyzable) == 0 && e.Spec != nil
 }
 
 // CaseStudyExtraction pairs the extractions of a case study's variants.
@@ -297,32 +292,6 @@ func (p *Package) ExtractCaseStudy(g mem.Geometry, ctor string, args ...int) (*C
 		*part.dst = ex
 	}
 	return out, nil
-}
-
-// ExtractPadVariant runs a case-study constructor, invokes the case's
-// PadBuilder closure with the given pad, and synthesizes the spec of the
-// resulting Program. It is the extracted-spec counterpart of
-// CaseStudy.SpecBuilder, letting the advisor's static-first pruning run
-// without any hand-written spec.
-func (p *Package) ExtractPadVariant(g mem.Geometry, ctor string, pad uint64, args ...int) (*Extraction, error) {
-	in := p.newInterp()
-	cs, err := in.callCtor(ctor, args)
-	if err != nil {
-		return nil, err
-	}
-	pb, ok := cs.fields["PadBuilder"].(*vClosure)
-	if !ok {
-		return nil, fmt.Errorf("specgen: %s: case study has no tracked PadBuilder", ctor)
-	}
-	res, err := in.callClosure(pb, []value{vInt(int64(pad))})
-	if err != nil {
-		return nil, fmt.Errorf("specgen: %s: PadBuilder(%d): %w", ctor, pad, err)
-	}
-	prog, ok := res.(*vStruct)
-	if !ok {
-		return nil, fmt.Errorf("specgen: %s: PadBuilder returned %T, want a Program", ctor, res)
-	}
-	return in.extractFromProgram(prog, g, ctor)
 }
 
 func (in *interp) callCtor(ctor string, args []int) (*vStruct, error) {

@@ -119,15 +119,6 @@ func (h *IntHist) CountLE(v int) uint64 {
 	return c
 }
 
-// CumulativeAt returns the fraction of observations with value <= v.
-// It returns 0 for an empty histogram.
-func (h *IntHist) CumulativeAt(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.CountLE(v)) / float64(h.total)
-}
-
 // Mean returns the weighted mean of observed values, or 0 for an empty
 // histogram. The sum accumulates in integers, so the result does not depend
 // on map iteration order.
@@ -145,22 +136,6 @@ func (h *IntHist) Mean() float64 {
 		sum += int64(v) * int64(n)
 	}
 	return float64(sum) / float64(h.total)
-}
-
-// Max returns the largest observed value, or 0 for an empty histogram.
-func (h *IntHist) Max() int {
-	max := 0
-	for v := range h.big {
-		if v > max {
-			max = v
-		}
-	}
-	for v := len(h.small) - 1; v > max; v-- {
-		if h.small[v] > 0 {
-			return v
-		}
-	}
-	return max
 }
 
 // Merge adds all observations of other into h.
@@ -187,30 +162,6 @@ func (h *IntHist) Reset() {
 	clear(h.big)
 	h.distinct = 0
 	h.total = 0
-}
-
-// CDFPoint is one point of a discrete cumulative distribution: the fraction
-// Cum of observations with value <= Value.
-type CDFPoint struct {
-	Value int
-	Cum   float64
-}
-
-// CDF returns the full cumulative distribution of the histogram as a series
-// of points in increasing Value order. The final point has Cum == 1 for any
-// non-empty histogram.
-func (h *IntHist) CDF() []CDFPoint {
-	if h.total == 0 {
-		return nil
-	}
-	vs := h.Values()
-	out := make([]CDFPoint, 0, len(vs))
-	var run uint64
-	for _, v := range vs {
-		run += h.Count(v)
-		out = append(out, CDFPoint{Value: v, Cum: float64(run) / float64(h.total)})
-	}
-	return out
 }
 
 // String renders a compact "value:count" summary for debugging.

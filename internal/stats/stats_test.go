@@ -3,112 +3,13 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestMean(t *testing.T) {
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %g, want 0", got)
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); !almostEqual(got, 2.5) {
-		t.Errorf("Mean = %g, want 2.5", got)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{3, 1, 2}, 2},
-		{[]float64{4, 1, 3, 2}, 2.5},
-	}
-	for _, c := range cases {
-		if got := Median(c.xs); !almostEqual(got, c.want) {
-			t.Errorf("Median(%v) = %g, want %g", c.xs, got, c.want)
-		}
-	}
-	// Median must not mutate its argument.
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Median mutated input: %v", xs)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("GeoMean(nil) should error")
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("GeoMean with zero should error")
-	}
-	got, err := GeoMean([]float64{2, 8})
-	if err != nil || !almostEqual(got, 4) {
-		t.Errorf("GeoMean(2,8) = %g, %v; want 4", got, err)
-	}
-}
-
-func TestVariance(t *testing.T) {
-	if got := Variance([]float64{5}); got != 0 {
-		t.Errorf("Variance single = %g, want 0", got)
-	}
-	if got := Variance([]float64{1, 3}); !almostEqual(got, 1) {
-		t.Errorf("Variance(1,3) = %g, want 1", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 10}, {50, 30}, {100, 50}, {25, 20}, {12.5, 15},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil || !almostEqual(got, c.want) {
-			t.Errorf("Percentile(%g) = %g, %v; want %g", c.p, got, err, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("Percentile of empty should error")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) should error")
-	}
-	if _, err := Percentile(xs, -1); err == nil {
-		t.Error("Percentile(-1) should error")
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var w Welford
-		for i, r := range raw {
-			xs[i] = float64(r)
-			w.Add(xs[i])
-		}
-		return w.N() == len(xs) &&
-			math.Abs(w.Mean()-Mean(xs)) < 1e-6 &&
-			math.Abs(w.Variance()-Variance(xs)) < 1e-3
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIntHistBasics(t *testing.T) {
 	var h IntHist
-	if h.Total() != 0 || h.CumulativeAt(10) != 0 || h.CDF() != nil {
+	if h.Total() != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 	h.Add(3)
@@ -118,37 +19,11 @@ func TestIntHistBasics(t *testing.T) {
 	if h.Total() != 7 || h.Count(3) != 2 || h.Count(1) != 1 || h.Count(7) != 4 {
 		t.Errorf("unexpected counts: %v", h.String())
 	}
-	if h.Distinct() != 3 || h.Max() != 7 {
-		t.Errorf("Distinct=%d Max=%d, want 3, 7", h.Distinct(), h.Max())
+	if h.Distinct() != 3 {
+		t.Errorf("Distinct=%d, want 3", h.Distinct())
 	}
 	if got := h.Values(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 7 {
 		t.Errorf("Values() = %v", got)
-	}
-	if got := h.CumulativeAt(3); !almostEqual(got, 3.0/7) {
-		t.Errorf("CumulativeAt(3) = %g, want %g", got, 3.0/7)
-	}
-}
-
-func TestIntHistCDF(t *testing.T) {
-	var h IntHist
-	h.AddN(1, 1)
-	h.AddN(2, 1)
-	h.AddN(4, 2)
-	cdf := h.CDF()
-	if len(cdf) != 3 {
-		t.Fatalf("CDF length = %d, want 3", len(cdf))
-	}
-	if cdf[0].Value != 1 || !almostEqual(cdf[0].Cum, 0.25) {
-		t.Errorf("cdf[0] = %+v", cdf[0])
-	}
-	if cdf[2].Value != 4 || !almostEqual(cdf[2].Cum, 1) {
-		t.Errorf("cdf[2] = %+v", cdf[2])
-	}
-	// CDF must be non-decreasing and end at 1.
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Cum < cdf[i-1].Cum || cdf[i].Value <= cdf[i-1].Value {
-			t.Errorf("CDF not monotone at %d: %+v", i, cdf)
-		}
 	}
 }
 
@@ -160,23 +35,6 @@ func TestIntHistMerge(t *testing.T) {
 	a.Merge(&b)
 	if a.Total() != 3 || a.Count(1) != 2 || a.Count(2) != 1 {
 		t.Errorf("after merge: %s", a.String())
-	}
-}
-
-// Property: CumulativeAt(Max) == 1 for any non-empty histogram.
-func TestIntHistCumulativeProperty(t *testing.T) {
-	f := func(vals []uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		var h IntHist
-		for _, v := range vals {
-			h.Add(int(v))
-		}
-		return almostEqual(h.CumulativeAt(h.Max()), 1)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -15,12 +15,3 @@ func NewThreadedRecorder(n int) *ThreadedRecorder {
 func (tr *ThreadedRecorder) Thread(t int) Sink {
 	return SinkFunc(func(r Ref) { tr.Streams[t] = append(tr.Streams[t], r) })
 }
-
-// Total returns the number of references recorded across all threads.
-func (tr *ThreadedRecorder) Total() int {
-	n := 0
-	for _, s := range tr.Streams {
-		n += len(s)
-	}
-	return n
-}

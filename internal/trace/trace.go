@@ -110,6 +110,3 @@ func (rec *Recorder) RefBlock(b *RefBlock) { rec.Refs = b.AppendTo(rec.Refs) }
 
 // Len returns the number of recorded references.
 func (rec *Recorder) Len() int { return len(rec.Refs) }
-
-// Reset discards all recorded references but keeps the backing storage.
-func (rec *Recorder) Reset() { rec.Refs = rec.Refs[:0] }

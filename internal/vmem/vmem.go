@@ -113,9 +113,3 @@ func (s *Space) allocFrame(vpn uint64) uint64 {
 		}
 	}
 }
-
-// Pages returns the number of mapped pages.
-func (s *Space) Pages() int { return len(s.table) }
-
-// Policy returns the space's frame-allocation policy.
-func (s *Space) Policy() Policy { return s.policy }

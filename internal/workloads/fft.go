@@ -182,53 +182,3 @@ type fftVals struct {
 func twiddle(off, half int) complex128 {
 	return cmplx.Exp(complex(0, -math.Pi*float64(off)/float64(half)))
 }
-
-// FFTForward performs an in-place radix-2 decimation-in-time pass over x
-// (len must be a power of two). Fed natural-order input it computes the
-// DFT of the bit-reversed input; FFTInverse exactly undoes it.
-func FFTForward(x []complex128) {
-	n := len(x)
-	for half := 1; half < n; half <<= 1 {
-		step := half << 1
-		for base := 0; base < n; base += step {
-			for off := 0; off < half; off++ {
-				i, j := base+off, base+off+half
-				w := twiddle(off, half)
-				a, b := x[i], x[j]
-				t := w * b
-				x[i] = a + t
-				x[j] = a - t
-			}
-		}
-	}
-}
-
-// FFTInverse exactly inverts FFTForward: the same stages in reverse order
-// with conjugated twiddles and a half scale per stage.
-func FFTInverse(x []complex128) {
-	n := len(x)
-	for half := n / 2; half >= 1; half >>= 1 {
-		step := half << 1
-		for base := 0; base < n; base += step {
-			for off := 0; off < half; off++ {
-				i, j := base+off, base+off+half
-				w := cmplx.Conj(twiddle(off, half))
-				a, b := x[i], x[j]
-				x[i] = (a + b) / 2
-				x[j] = w * (a - b) / 2
-			}
-		}
-	}
-}
-
-// BitReverse returns i bit-reversed within log2(n) bits, the permutation
-// relating FFTForward's output order to the natural DFT.
-func BitReverse(i, n int) int {
-	r := 0
-	for n > 1 {
-		r = r<<1 | i&1
-		i >>= 1
-		n >>= 1
-	}
-	return r
-}

@@ -186,17 +186,3 @@ func kripkeValues(zones, directions, groups int) (psi, vol, w []float64) {
 	}
 	return
 }
-
-// KripkeReference computes the particle total naively for verification.
-func KripkeReference(zones, directions, groups int) float64 {
-	psi, vol, w := kripkeValues(zones, directions, groups)
-	var part float64
-	for g := 0; g < groups; g++ {
-		for d := 0; d < directions; d++ {
-			for z := 0; z < zones; z++ {
-				part += w[d] * psi[(g*directions+d)*zones+z] * vol[z]
-			}
-		}
-	}
-	return part
-}

@@ -303,23 +303,3 @@ func nwSimilarity(n int) []int32 {
 	}
 	return sim
 }
-
-// NWReference computes the alignment score with a naive, untiled DP over
-// the same similarity matrix — the ground truth for the tiled kernel.
-func NWReference(n int) int32 {
-	rows := n + 1
-	sim := nwSimilarity(n)
-	m := make([]int32, rows*rows)
-	for i := 1; i < rows; i++ {
-		m[i*rows] = int32(-i) * nwPenalty
-	}
-	for j := 1; j < rows; j++ {
-		m[j] = int32(-j) * nwPenalty
-	}
-	for i := 1; i < rows; i++ {
-		for j := 1; j < rows; j++ {
-			m[i*rows+j] = nwCell(m[(i-1)*rows+(j-1)], m[(i-1)*rows+j], m[i*rows+(j-1)], sim[i*rows+j])
-		}
-	}
-	return m[n*rows+n]
-}

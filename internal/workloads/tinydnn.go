@@ -138,24 +138,3 @@ func tinyDNNProgram(in, out, batches int, pad uint64) *Program {
 }
 
 type dnnVals struct{ w, in, a []float32 }
-
-// TinyDNNReference computes the layer's activations naively for
-// verification: a[i] = sum_c W[c][i] * in[c] with the same seeded values.
-func TinyDNNReference(in, out int) []float32 {
-	wVals := make([]float32, in*out)
-	inVals := make([]float32, in)
-	rng := stats.NewRand(777)
-	for i := range wVals {
-		wVals[i] = float32(rng.Float64()) - 0.5
-	}
-	for i := range inVals {
-		inVals[i] = float32(rng.Float64())
-	}
-	a := make([]float32, out)
-	for i := 0; i < out; i++ {
-		for c := 0; c < in; c++ {
-			a[i] += wVals[c*out+i] * inVals[c]
-		}
-	}
-	return a
-}
