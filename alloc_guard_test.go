@@ -17,6 +17,16 @@ import (
 	"repro/internal/workloads"
 )
 
+// skipAllocCount skips an allocation-count test under -short and under the
+// race detector, whose sync.Pool drops Puts at random, so a pooled path
+// allocates what it would have reused. CI's non-race "allocation budget
+// guard" step runs both budgets.
+func skipAllocCount(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation counting is not meaningful under -short or -race")
+	}
+}
+
 // TestRecommendPadAllocBudget pins the steady-state allocation cost of one
 // advisor sweep task: a full RecommendPad over quick-scale ADI with four
 // candidate pads, simulation-only, on one worker. The budget is ~2x the
@@ -24,9 +34,7 @@ import (
 // pass) but far below the cost of re-building per-task state from scratch,
 // which is the regression this test exists to catch.
 func TestRecommendPadAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counting is not meaningful under -short race/cover runs")
-	}
+	skipAllocCount(t)
 	cs := workloads.NewADI(256, 1)
 	opts := advisor.Options{
 		Pads:    []uint64{0, 32, 64, 128},
@@ -58,9 +66,7 @@ func TestRecommendPadAllocBudget(t *testing.T) {
 // allocation anywhere in decoding or attribution (a per-sample
 // binary.Read costs two) overshoots the budget by tens of thousands.
 func TestAnalyzeAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counting is not meaningful under -short race/cover runs")
-	}
+	skipAllocCount(t)
 	cs, err := workloads.Get("nw")
 	if err != nil {
 		t.Fatal(err)

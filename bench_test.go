@@ -484,6 +484,48 @@ func BenchmarkProfileProgram(b *testing.B) {
 	b.ReportMetric(float64(prof.Refs), "refs/op")
 }
 
+// BenchmarkProfileCaseStudies is one pass of perfbench's profile workload
+// in process: for both variants of every case study, workloads.Get, then
+// core.ProfileProgram at the case's recommended period on one thread,
+// Analyze and WriteReport, as `ccprof <workload>` runs them. ms/pass is the
+// wall-clock of the 14 ops and refs/s the references they replay per
+// second, perfbench's profile work_per_s.
+func BenchmarkProfileCaseStudies(b *testing.B) {
+	var report bytes.Buffer
+	var refs uint64
+	for i := 0; i < b.N; i++ {
+		for _, name := range workloads.Names() {
+			for _, optimized := range []bool{false, true} {
+				cs, err := workloads.Get(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := cs.Original
+				if optimized {
+					p = cs.Optimized
+				}
+				prof, err := core.ProfileProgram(p, core.ProfileOptions{
+					Period: pmu.Uniform(cs.ProfilePeriod), Seed: 42, Threads: 1, NoTime: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				an, err := core.Analyze(prof, p.Binary, p.Arena, core.AnalyzeOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				report.Reset()
+				if err := core.WriteReport(&report, an); err != nil {
+					b.Fatal(err)
+				}
+				refs += prof.Refs
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/pass")
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+}
+
 // savedProfile is a profile as `ccprof -profile-out` writes it, with the
 // program whose binary and arena analyze it.
 type savedProfile struct {

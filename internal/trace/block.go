@@ -115,9 +115,9 @@ type Emitter struct {
 	flags [ringDepth * DefaultBlock]uint8
 	blk   RefBlock // the view of a block handed to the sink
 
-	// pipe holds the pipelined mode's channels, made on the first Pipe and
-	// kept, so a pooled emitter carries them with it. piped is set while a
-	// Pipe's producer is running.
+	// pipe holds the pipelined mode's ring counters and doorbells, made on
+	// the first Pipe and kept, so a pooled emitter carries them with it.
+	// piped is set while a Pipe's producer is running.
 	pipe  *pipe
 	piped bool
 

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,5 +193,131 @@ func TestPipeSteadyStateAllocs(t *testing.T) {
 	a10 := testing.AllocsPerRun(20, func() { e.Pipe(Discard, kLong) })
 	if a1 > 2 || a10 > a1 {
 		t.Fatalf("piped run allocated %.1f (1x) and %.1f (10x) times, want <= 2 and no growth", a1, a10)
+	}
+}
+
+// stallingKernel is emitAll with a pause before each DefaultBlock-th
+// reference i, of pause[i/DefaultBlock].
+func stallingKernel(refs []Ref, flushAt int, pause []time.Duration) func(*Emitter) {
+	return func(e *Emitter) {
+		for i, r := range refs {
+			if i%DefaultBlock == 0 {
+				time.Sleep(pause[i/DefaultBlock])
+			}
+			if i == flushAt && flushAt > 0 {
+				e.Flush()
+			}
+			e.Ref(r)
+		}
+	}
+}
+
+// stallingSink records its blocks after a pause of pause[k] on the kth,
+// and panics on block panicAt (counting from 1) if that is positive.
+type stallingSink struct {
+	blockLens
+	pause   []time.Duration
+	panicAt int
+}
+
+func (s *stallingSink) RefBlock(b *RefBlock) {
+	k := len(s.lens)
+	time.Sleep(s.pause[k])
+	if k+1 == s.panicAt {
+		panic("sink failed")
+	}
+	s.blockLens.RefBlock(b)
+}
+
+// stallPlan draws where the kernel and the sink pause, for n blocks. Phases
+// of ringDepth blocks alternate the side that pauses, so each in turn is
+// the slower stage: the consumer runs dry and parks, then the producer
+// fills the ring and parks. Which side starts is drawn too.
+func stallPlan(rng *rand.Rand, n int) (kernel, sink []time.Duration) {
+	kernel, sink = make([]time.Duration, n), make([]time.Duration, n)
+	first := rng.IntN(2)
+	for b := range n {
+		if rng.IntN(4) == 0 {
+			continue
+		}
+		d := time.Duration(20+rng.IntN(130)) * time.Microsecond
+		if (b/ringDepth+first)%2 == 0 {
+			kernel[b] = d
+		} else {
+			sink[b] = d
+		}
+	}
+	return kernel, sink
+}
+
+// within runs f on a goroutine of its own and returns what it panicked
+// with, or nil. A run still going after d fails the test with every
+// goroutine's stack: a lost wake-up hangs instead of failing.
+func within(t *testing.T, d time.Duration, f func()) any {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f()
+	}()
+	select {
+	case v := <-done:
+		return v
+	case <-time.After(d):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("piped run still going after %v:\n%s", d, buf[:runtime.Stack(buf, true)])
+		return nil
+	}
+}
+
+// TestPipeStress drives the wake protocol with the kernel and the sink
+// stalling at seeded random blocks, at GOMAXPROCS 1 and 2, on streams
+// shorter than wakeAt blocks, of exactly wakeAt and ringDepth blocks, one
+// reference past a ring and several rings long, with and without a
+// mid-stream Flush. Every run must deliver the sequential stream, end
+// within the timeout and leave no goroutine; a run whose sink panics must
+// deliver the blocks before the panic and stop the producer.
+func TestPipeStress(t *testing.T) {
+	sizes := []int{1, 3*DefaultBlock + 5, wakeAt * DefaultBlock, ringDepth * DefaultBlock,
+		ringDepth*DefaultBlock + 1, 3*ringDepth*DefaultBlock + 7}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			rng := rand.New(rand.NewPCG(uint64(procs), 25))
+			e := new(Emitter)
+			for _, n := range sizes {
+				for _, flushAt := range []int{0, DefaultBlock/2 + 1} {
+					refs := refSeq(n)
+					var seq blockLens
+					s := NewEmitter(&seq)
+					emitAll(refs, flushAt)(s)
+					s.Flush()
+					blocks := len(seq.lens)
+					for round := range 3 {
+						name := fmt.Sprintf("n=%d flushAt=%d round=%d", n, flushAt, round)
+						kp, sp := stallPlan(rng, blocks+1)
+						got := &stallingSink{pause: sp}
+						if round == 2 && blocks > 1 {
+							got.panicAt = 1 + rng.IntN(blocks)
+						}
+						base := runtime.NumGoroutine()
+						v := within(t, time.Minute, func() { e.Pipe(got, stallingKernel(refs, flushAt, kp)) })
+						waitGoroutines(t, base)
+						want := seq.lens
+						if got.panicAt > 0 {
+							if v != "sink failed" {
+								t.Fatalf("%s: recovered %v, want the sink's panic", name, v)
+							}
+							want = want[:got.panicAt-1]
+						} else if v != nil {
+							t.Fatalf("%s: piped run panicked: %v", name, v)
+						}
+						if !slices.Equal(got.lens, want) || !slices.Equal(got.Refs, seq.Refs[:len(got.Refs)]) {
+							t.Fatalf("%s: piped blocks %v, want %v", name, got.lens, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -142,6 +142,38 @@ func TestFFTProgramParseval(t *testing.T) {
 	}
 }
 
+// TestTwiddleTable: the FFT kernel's table gives every stage's butterfly
+// factor bit for bit, so the transform computes what per-butterfly
+// cmplx.Exp calls did.
+func TestTwiddleTable(t *testing.T) {
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for n := 1; n <= 1024; n <<= 1 {
+		tw := twiddleTable(n)
+		if len(tw) != n/2 {
+			t.Fatalf("n=%d: %d entries, want %d", n, len(tw), n/2)
+		}
+		for half := 1; half < n; half <<= 1 {
+			stride := n / (2 * half)
+			for off := 0; off < half; off++ {
+				if got, want := tw[off*stride], twiddle(off, half); !same(got, want) {
+					t.Fatalf("n=%d half=%d off=%d: table %v, twiddle %v", n, half, off, got, want)
+				}
+			}
+		}
+	}
+	// The sequential transform keeps its bits, not just Parseval's ratio.
+	cs := NewFFT(256)
+	for _, p := range []*Program{cs.Original, cs.Optimized} {
+		p.Run(trace.Discard)
+		if got := math.Float64bits(p.Check()); got != 0x3ff0000000000009 {
+			t.Errorf("%s: Check bits %#x, want 0x3ff0000000000009", p.Name, got)
+		}
+	}
+}
+
 func TestBitReverse(t *testing.T) {
 	cases := [][3]int{{0, 8, 0}, {1, 8, 4}, {2, 8, 2}, {3, 8, 6}, {5, 8, 5}, {6, 8, 3}, {1, 2, 1}}
 	for _, c := range cases {

@@ -107,16 +107,19 @@ func fftProgram(n int, pad uint64) *Program {
 		return v
 	})
 
+	twiddles := lazy(func() []complex128 { return twiddleTable(n) })
+
 	// traced performs one in-place forward FFT over the n elements
 	// addressed by at/idx, emitting the memory traffic of each butterfly.
 	traced := func(sink *trace.Emitter, compute bool, at func(int) uint64, idx func(int) int,
 		ldA, ldB, stA, stB uint64) {
-		var vals []complex128
+		var vals, tw []complex128
 		if compute {
-			vals = signal().vals
+			vals, tw = signal().vals, twiddles()
 		}
 		for half := 1; half < n; half <<= 1 {
 			step := half << 1
+			stride := n / step // stage half's factor off is tw[off*stride]
 			for base := 0; base < n; base += step {
 				for off := 0; off < half; off++ {
 					i, j := base+off, base+off+half
@@ -126,7 +129,7 @@ func fftProgram(n int, pad uint64) *Program {
 					sink.Ref(trace.Ref{IP: stB, Addr: at(j), Write: true})
 					if compute {
 						ii, jj := idx(i), idx(j)
-						w := twiddle(off, half)
+						w := tw[off*stride]
 						a, bb := vals[ii], vals[jj]
 						t := w * bb
 						vals[ii] = a + t
@@ -181,4 +184,16 @@ type fftVals struct {
 // twiddle returns the DIT butterfly factor exp(-i*pi*off/half).
 func twiddle(off, half int) complex128 {
 	return cmplx.Exp(complex(0, -math.Pi*float64(off)/float64(half)))
+}
+
+// twiddleTable returns the factors of an n-point transform's last stage,
+// twiddle(k, n/2) for k < n/2. Stage half's factor off is entry
+// off*(n/2)/half, bit for bit: for a power-of-two s, -pi*off*s/(half*s)
+// rounds exactly as -pi*off/half does, since scaling by s is exact.
+func twiddleTable(n int) []complex128 {
+	tw := make([]complex128, n/2)
+	for k := range tw {
+		tw[k] = twiddle(k, n/2)
+	}
+	return tw
 }

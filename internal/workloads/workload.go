@@ -95,7 +95,7 @@ func NewProgram(name string, bin *objfile.Binary, ar *alloc.Arena,
 
 // emitters recycles staging emitters across RunThread and
 // RunThreadPipelined calls. An emitter holds only its block buffers (and,
-// once it has piped, its channels) between uses; Reset and Pipe discard any
+// once it has piped, its ring state) between uses; Reset and Pipe discard any
 // buffered state, so pooling is invisible to the delivered stream.
 var emitters = parsim.Pool[*trace.Emitter]{New: func() *trace.Emitter { return trace.NewEmitter(nil) }}
 
