@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/staticconf"
 	"repro/internal/trace"
@@ -247,7 +248,8 @@ func BenchmarkSpecgenExtraction(b *testing.B) {
 		}
 		printOnce(b, i, func() error { _, err := experiments.Specgen(os.Stdout, scale); return err })
 		b.ReportMetric(100*res.Agreement(), "agree%")
-		b.ReportMetric(float64(res.ExtractTime.Microseconds())/float64(len(res.Rows)), "µs/extract")
+		extract := obs.Default.Snapshot().Phases["extract"]
+		b.ReportMetric(extract.MeanNs/1e3/float64(len(res.Rows)), "µs/extract")
 	}
 }
 

@@ -118,8 +118,8 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 	// Thread count clamps to the machine.
 	sys := Simulate(cs.Original, Skylake(), 99)
-	if sys.Cores != Skylake().Threads {
-		t.Errorf("cores = %d, want clamp to %d", sys.Cores, Skylake().Threads)
+	if len(sys.L1) != Skylake().Threads {
+		t.Errorf("cores = %d, want clamp to %d", len(sys.L1), Skylake().Threads)
 	}
 }
 

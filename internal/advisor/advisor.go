@@ -95,13 +95,11 @@ func (r Result) WriteText(w io.Writer) error {
 	return err
 }
 
-// Options configures the search.
+// Options configures the search. Candidates are simulated on the
+// default L1 (mem.L1Default) over their whole reference stream.
 type Options struct {
-	Geom mem.Geometry // zero selects mem.L1Default()
 	// Pads are the candidate pad sizes; nil selects DefaultPads.
 	Pads []uint64
-	// MaxRefs caps the simulated references per candidate (0 = all).
-	MaxRefs uint64
 	// Tiers selects the advisor cascade (analytic → full simulation).
 	// With the analytic tier active, candidate pads are ruled out before
 	// any cache simulation runs: only pad 0, pads whose spec is
@@ -173,10 +171,6 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 	if build == nil {
 		return Result{}, fmt.Errorf("advisor: nil build function")
 	}
-	geom := opts.Geom
-	if geom.Sets == 0 {
-		geom = mem.L1Default()
-	}
 	pads := opts.Pads
 	if pads == nil {
 		pads = DefaultPads
@@ -193,7 +187,7 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 	var vetted map[uint64]bool
 	var surplus []uint64
 	if opts.Tiers.Analytic && opts.Spec != nil {
-		pads, vetted, surplus = tierPrune(pads, opts, geom, keep, &res)
+		pads, vetted, surplus = tierPrune(pads, opts, keep, &res)
 		obs.Default.Counter("advisor.pruned.analytic").Add(uint64(len(res.PrunedAnalytic)))
 	}
 
@@ -219,7 +213,7 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 				if p == nil {
 					return Candidate{}, fmt.Errorf("advisor: build(%d) returned nil", pad)
 				}
-				c := evaluate(p, geom, opts.MaxRefs)
+				c := evaluate(p)
 				c.Pad = pad
 				return c, nil
 			})
@@ -364,7 +358,8 @@ func RecommendPad(build func(pad uint64) *workloads.Program, opts Options) (Resu
 // It returns the pads to simulate, the set of kept pads whose survival
 // rests on an analytic clean verdict (candidates for simulation-verified
 // escalation), and the analytically-clean surplus in ascending order.
-func tierPrune(pads []uint64, opts Options, geom mem.Geometry, keep int, res *Result) (out []uint64, vetted map[uint64]bool, surplus []uint64) {
+func tierPrune(pads []uint64, opts Options, keep int, res *Result) (out []uint64, vetted map[uint64]bool, surplus []uint64) {
+	geom := mem.L1Default()
 	sorted := append([]uint64(nil), pads...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var kept []uint64
@@ -407,7 +402,7 @@ func tierPrune(pads []uint64, opts Options, geom mem.Geometry, keep int, res *Re
 	return kept, vetted, surplus
 }
 
-// evalSink is the advisor's cost model: the configured L1 backed by a
+// evalSink is the advisor's cost model: the default L1 backed by a
 // 256KiB L2 (the private L2 of the evaluated machines), costed with the
 // Broadwell latency table. The workload delivers references in
 // struct-of-arrays blocks, and each cache classifies a block in one fused
@@ -415,13 +410,11 @@ func tierPrune(pads []uint64, opts Options, geom mem.Geometry, keep int, res *Re
 // misses — a few percent of references — which also pay the RCD
 // bookkeeping.
 type evalSink struct {
-	geom    mem.Geometry
-	l1, l2  *cache.Cache
-	lat     mem.Latency
-	tr      *rcd.Tracker
-	maxRefs uint64
-	n       uint64
-	cycles  uint64
+	geom   mem.Geometry
+	l1, l2 *cache.Cache
+	lat    mem.Latency
+	tr     *rcd.Tracker
+	cycles uint64
 
 	// Scratch for the block path, pooled with the evaluator: the L1 miss
 	// indices, their addresses, and the L2 miss indices among those.
@@ -436,12 +429,6 @@ type evalSink struct {
 // cycle count unchanged — the L2 still sees the L1 misses in order.
 func (e *evalSink) RefBlock(b *trace.RefBlock) {
 	addrs := b.Addr
-	if e.maxRefs > 0 {
-		if left := e.maxRefs - e.n; uint64(len(addrs)) > left {
-			addrs = addrs[:left]
-		}
-	}
-	e.n += uint64(len(addrs))
 	e.miss = e.l1.BlockMisses(addrs, e.miss[:0])
 	offBits, setMask := e.geom.OffsetBits(), e.geom.SetMask()
 	missAddr := e.missAddr[:0]
@@ -468,23 +455,23 @@ func l2Geom(geom mem.Geometry) mem.Geometry {
 	return mem.MustGeometry(geom.LineSize, 512, 8)
 }
 
-func evaluate(p *workloads.Program, geom mem.Geometry, maxRefs uint64) Candidate {
+func evaluate(p *workloads.Program) Candidate {
 	e := evalPool.Get()
-	if e == nil || e.geom != geom {
+	if e == nil {
+		geom := mem.L1Default()
 		e = &evalSink{
 			geom: geom,
 			l1:   cache.New(geom, cache.LRU, nil),
 			l2:   cache.New(l2Geom(geom), cache.LRU, nil),
+			lat:  mem.Broadwell().Lat,
 			tr:   rcd.New(geom.Sets),
 		}
 	} else {
 		e.l1.Reset()
 		e.l2.Reset()
-		e.tr.Reset(geom.Sets)
+		e.tr.Reset(e.geom.Sets)
 	}
-	e.lat = mem.Broadwell().Lat
-	e.maxRefs = maxRefs
-	e.n, e.cycles = 0, 0
+	e.cycles = 0
 	// The evaluator owns all its state, so the kernel may run beside it,
 	// and it reads addresses only, so the kernel skips its numerics.
 	p.RunAddressesPipelined(e)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/mem"
 	"repro/internal/objfile"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -150,22 +149,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := RecommendPad(rowWalk(16), Options{Pads: []uint64{}}); err == nil {
 		t.Error("empty pad list should error")
-	}
-}
-
-func TestMaxRefsCap(t *testing.T) {
-	res, err := RecommendPad(columnWalk(256), Options{
-		Pads:    []uint64{0, 64},
-		MaxRefs: 10_000,
-		Geom:    mem.L1Default(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Candidates {
-		if c.Misses > 10_000 {
-			t.Errorf("candidate simulated more than MaxRefs: %+v", c)
-		}
 	}
 }
 

@@ -18,10 +18,9 @@ func denseGrid() []uint64 {
 }
 
 // TestTierCascadeMatchesFullSweep is the cascade's acceptance contract:
-// on every case study, the three-tier advisor (analytic → staticconf →
-// simulation) returns the same recommendation as simulation-only over a
-// dense candidate grid while running at least 90% fewer full
-// simulations.
+// on every quick-scale case study, the cascade (analytic → simulation)
+// returns the same recommendation as simulation-only over a dense
+// candidate grid while running at least 90% fewer full simulations.
 func TestTierCascadeMatchesFullSweep(t *testing.T) {
 	pads := denseGrid()
 	for _, c := range caseStudyFixes() {

@@ -14,11 +14,10 @@ import (
 // is byte-identical whether the pad candidates are evaluated serially or
 // fanned across eight workers.
 func TestRecommendPadSerialParallelIdentical(t *testing.T) {
-	cs := workloads.NewADI(256, 1)
+	cs := workloads.NewADI(128, 1)
 	run := func(workers int) []byte {
 		res, err := RecommendPad(cs.PadBuilder, Options{
 			Workers: workers,
-			MaxRefs: 300000,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

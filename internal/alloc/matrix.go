@@ -10,10 +10,8 @@ import "fmt"
 // computed; no element storage exists.
 type Matrix2D struct {
 	Block
-	Rows, Cols int
-	Elem       uint64 // element size in bytes
-	RowPad     uint64 // extra bytes appended to each row
-	rowStride  uint64 // Cols*Elem + RowPad, fixed at construction
+	Elem      uint64 // element size in bytes
+	rowStride uint64 // cols*Elem + rowPad, fixed at construction
 }
 
 // NewMatrix2D reserves a rows x cols matrix of elem-byte elements with
@@ -22,7 +20,7 @@ func NewMatrix2D(a *Arena, name string, rows, cols int, elem, rowPad uint64) *Ma
 	if rows <= 0 || cols <= 0 || elem == 0 {
 		panic(fmt.Sprintf("alloc: invalid matrix %s: %dx%d elem=%d", name, rows, cols, elem))
 	}
-	m := &Matrix2D{Rows: rows, Cols: cols, Elem: elem, RowPad: rowPad, rowStride: uint64(cols)*elem + rowPad}
+	m := &Matrix2D{Elem: elem, rowStride: uint64(cols)*elem + rowPad}
 	m.Block = a.Alloc(name, uint64(rows)*m.rowStride, 64)
 	return m
 }
@@ -44,22 +42,19 @@ func (m *Matrix2D) At(i, j int) uint64 {
 // Start + i*PlaneStride + j*RowStride + k*Elem.
 type Matrix3D struct {
 	Block
-	Ni, Nj, Nk  int
 	Elem        uint64
-	RowPad      uint64 // extra bytes after each k-row
-	PlanePad    uint64 // extra bytes after each (j,k) plane
-	rowStride   uint64 // Nk*Elem + RowPad, fixed at construction
-	planeStride uint64 // Nj*rowStride + PlanePad, fixed at construction
+	rowStride   uint64 // nk*Elem + rowPad, fixed at construction
+	planeStride uint64 // nj*rowStride + planePad, fixed at construction
 }
 
-// NewMatrix3D reserves an ni x nj x nk array of elem-byte elements.
+// NewMatrix3D reserves an ni x nj x nk array of elem-byte elements, with
+// rowPad extra bytes after each k-row and planePad after each (j,k) plane.
 func NewMatrix3D(a *Arena, name string, ni, nj, nk int, elem, rowPad, planePad uint64) *Matrix3D {
 	if ni <= 0 || nj <= 0 || nk <= 0 || elem == 0 {
 		panic(fmt.Sprintf("alloc: invalid 3d matrix %s: %dx%dx%d elem=%d", name, ni, nj, nk, elem))
 	}
 	rowStride := uint64(nk)*elem + rowPad
-	m := &Matrix3D{Ni: ni, Nj: nj, Nk: nk, Elem: elem, RowPad: rowPad, PlanePad: planePad,
-		rowStride: rowStride, planeStride: uint64(nj)*rowStride + planePad}
+	m := &Matrix3D{Elem: elem, rowStride: rowStride, planeStride: uint64(nj)*rowStride + planePad}
 	m.Block = a.Alloc(name, uint64(ni)*m.planeStride, 64)
 	return m
 }
@@ -78,7 +73,6 @@ func (m *Matrix3D) At(i, j, k int) uint64 {
 // Vector is the address layout of a 1-D array.
 type Vector struct {
 	Block
-	N    int
 	Elem uint64
 }
 
@@ -87,7 +81,7 @@ func NewVector(a *Arena, name string, n int, elem uint64) *Vector {
 	if n <= 0 || elem == 0 {
 		panic(fmt.Sprintf("alloc: invalid vector %s: n=%d elem=%d", name, n, elem))
 	}
-	v := &Vector{N: n, Elem: elem}
+	v := &Vector{Elem: elem}
 	v.Block = a.Alloc(name, uint64(n)*elem, 64)
 	return v
 }

@@ -5,11 +5,10 @@
 // Where staticconf enumerates one reuse window per access to measure
 // per-set line demand, this package computes the same quantities purely
 // arithmetically, in the spirit of Gysi et al. ("A Fast Analytical Model
-// of Fully Associative Caches") and Razzak et al. ("Static Reuse Profile
-// Estimation for Array Applications"): each access composes into a
-// lattice pattern (a dense block replicated along stride levels), and
-// distinct-line counts, per-set pressure, reuse distances and the
-// predicted contribution factor all follow from residue distributions of
+// of Fully Associative Caches"): each access composes into a lattice
+// pattern (a dense block replicated along stride levels), and
+// distinct-line counts, per-set pressure and the predicted contribution
+// factor all follow from residue distributions of
 // the pattern modulo the line size and set span. Cost is
 // O(dims × setspan/gcd) per access — independent of trip counts, with
 // every residue pass gcd-compressed onto the one congruence class the
@@ -63,24 +62,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ReuseBin is one entry of the modeled stack-distance profile: Count
-// references re-touch a line with Distance distinct lines accessed in
-// between. Distance −1 marks first touches (compulsory misses).
-type ReuseBin struct {
-	Kind     string // "spatial", "temporal-window", "temporal-revisit", "compulsory"
-	Distance int64
-	Count    uint64
-}
-
 // AccessReport is the per-access closed-form analysis.
 type AccessReport struct {
 	Access staticconf.Access
-	// TotalRefs is the reference count over the whole nest; WindowRefs
-	// the references per reuse window; Windows the number of windows
-	// (the product of the outer trips).
-	TotalRefs  uint64
-	WindowRefs uint64
-	Windows    uint64
+	// TotalRefs is the reference count over the whole nest; Windows the
+	// number of reuse windows (the product of the outer trips).
+	TotalRefs uint64
+	Windows   uint64
 	// Revisits is the temporal multiplicity from zero-stride dims: how
 	// often the whole footprint is re-walked.
 	Revisits uint64
@@ -93,8 +81,6 @@ type AccessReport struct {
 	// Exact reports that this access's pattern is hierarchical, so the
 	// counts above are exact rather than conservative upper bounds.
 	Exact bool
-	// Reuse is the modeled stack-distance profile, coarsest bins last.
-	Reuse []ReuseBin
 }
 
 // Report is the analytic verdict for one kernel.
@@ -152,25 +138,20 @@ func Analyze(spec *staticconf.Spec, g mem.Geometry, opts Options) (*Report, erro
 		rep.Touches = make([]uint64, g.Sets)
 	}
 
-	type group struct {
-		idx []int // access indices, for fold bookkeeping
-		ps  []pattern
-	}
-	groups := map[string]*group{}
+	groups := map[string][]pattern{}
 	var order []string
 	winDemand := make([][]int64, len(spec.Accesses))
 	for i, a := range spec.Accesses {
 		w := windowDims(a)
-		winPat, winRevisits := compose(a.Base, a.Elem, w)
+		winPat, _ := compose(a.Base, a.Elem, w)
 		fullPat, revisits := compose(a.Base, a.Elem, a.Dims)
 
 		ar := AccessReport{
-			Access:     a,
-			TotalRefs:  tripProduct(a.Dims),
-			WindowRefs: tripProduct(w),
-			Windows:    tripProduct(a.Dims[:len(a.Dims)-len(w)]),
-			Revisits:   revisits,
-			Exact:      winPat.exact && fullPat.exact,
+			Access:    a,
+			TotalRefs: tripProduct(a.Dims),
+			Windows:   tripProduct(a.Dims[:len(a.Dims)-len(w)]),
+			Revisits:  revisits,
+			Exact:     winPat.exact && fullPat.exact,
 		}
 
 		dem := make([]int64, g.Sets)
@@ -182,7 +163,6 @@ func Analyze(spec *staticconf.Spec, g mem.Geometry, opts Options) (*Report, erro
 			}
 		}
 		ar.FootprintLines = fullPat.account(g, nil)
-		ar.Reuse = reuseProfile(ar, winRevisits)
 		rep.Accesses = append(rep.Accesses, ar)
 		if !ar.Exact {
 			rep.Exact = false
@@ -192,22 +172,17 @@ func Analyze(spec *staticconf.Spec, g mem.Geometry, opts Options) (*Report, erro
 			addTouches(rep.Touches, a, g)
 		}
 
-		gr := groups[a.Array]
-		if gr == nil {
-			gr = &group{}
-			groups[a.Array] = gr
+		if _, ok := groups[a.Array]; !ok {
 			order = append(order, a.Array)
 		}
-		gr.idx = append(gr.idx, i)
-		gr.ps = append(gr.ps, winPat)
+		groups[a.Array] = append(groups[a.Array], winPat)
 	}
 
 	// Union window demand per set: fold each array's window patterns in
 	// closed form, then sum the survivors. Distinct arrays are distinct
 	// allocations and assumed line-disjoint.
 	for _, name := range order {
-		gr := groups[name]
-		kept, exact := fold(gr.ps)
+		kept, exact := fold(groups[name])
 		if !exact {
 			rep.DemandExact = false
 		}
@@ -304,32 +279,6 @@ func addTouches(touches []uint64, a staticconf.Access, g mem.Geometry) {
 		}
 	}
 	putSpan(cur)
-}
-
-// reuseProfile models the stack-distance profile of one access from its
-// closed-form counts. Spatial reuse (several references per line inside
-// a window) sits at distance 0; zero-stride window dims re-walk the
-// window footprint, so their reuse distance is the window's line count;
-// zero-stride outer dims re-walk the whole footprint. First touches are
-// the compulsory bin at distance −1.
-func reuseProfile(ar AccessReport, winRevisits uint64) []ReuseBin {
-	var bins []ReuseBin
-	spatialRefs := ar.WindowRefs / winRevisits // refs per single window walk
-	if sp := int64(spatialRefs) - ar.WindowLines; sp > 0 {
-		bins = append(bins, ReuseBin{Kind: "spatial", Distance: 0,
-			Count: uint64(sp) * winRevisits * ar.Windows})
-	}
-	if winRevisits > 1 {
-		bins = append(bins, ReuseBin{Kind: "temporal-window", Distance: ar.WindowLines,
-			Count: uint64(ar.WindowLines) * (winRevisits - 1) * ar.Windows})
-	}
-	if ar.Revisits > 1 {
-		bins = append(bins, ReuseBin{Kind: "temporal-revisit", Distance: ar.FootprintLines,
-			Count: uint64(ar.FootprintLines) * (ar.Revisits - 1)})
-	}
-	bins = append(bins, ReuseBin{Kind: "compulsory", Distance: -1,
-		Count: uint64(ar.FootprintLines)})
-	return bins
 }
 
 // predictCF mirrors staticconf's contribution-factor model with

@@ -169,39 +169,6 @@ func TestNegativeStrideReflection(t *testing.T) {
 	}
 }
 
-// TestReuseProfile: a row walk with a temporal revisit dim produces the
-// three expected bins with consistent counts.
-func TestReuseProfile(t *testing.T) {
-	g := mem.L1Default()
-	sp := &staticconf.Spec{Kernel: "k", Accesses: []staticconf.Access{{
-		Array: "a", Loop: "l", Base: 0x100000, Elem: 8,
-		Dims:   []staticconf.Dim{{Stride: 0, Trip: 10}, {Stride: 8, Trip: 512}},
-		Window: 1,
-	}}}
-	rep, err := analytic.Analyze(sp, g, analytic.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar := rep.Accesses[0]
-	if ar.FootprintLines != 64 || ar.Revisits != 10 {
-		t.Fatalf("footprint %d revisits %d, want 64/10", ar.FootprintLines, ar.Revisits)
-	}
-	kinds := map[string]analytic.ReuseBin{}
-	for _, b := range ar.Reuse {
-		kinds[b.Kind] = b
-	}
-	// 512 refs per window over 64 lines: 448 spatial reuses per walk.
-	if b := kinds["spatial"]; b.Count != 448*10 || b.Distance != 0 {
-		t.Fatalf("spatial bin %+v", b)
-	}
-	if b := kinds["temporal-revisit"]; b.Count != 64*9 || b.Distance != 64 {
-		t.Fatalf("temporal-revisit bin %+v", b)
-	}
-	if b := kinds["compulsory"]; b.Count != 64 || b.Distance != -1 {
-		t.Fatalf("compulsory bin %+v", b)
-	}
-}
-
 func TestWriteText(t *testing.T) {
 	rep, err := analytic.Analyze(workloads.NewADI(256, 1).Original.Spec,
 		mem.L1Default(), analytic.Options{})

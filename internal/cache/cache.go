@@ -128,7 +128,6 @@ func New(g mem.Geometry, p Policy, rng *rand.Rand) *Cache {
 // Result describes the outcome of one cache access.
 type Result struct {
 	Hit     bool
-	Set     int    // set index of the access
 	Evicted bool   // whether a valid line was evicted
 	Victim  uint64 // line address of the evicted line, if Evicted
 }
@@ -139,9 +138,9 @@ type Result struct {
 func (c *Cache) Access(addr uint64) Result {
 	hit, set, victimTag, evicted := c.access(addr)
 	if hit {
-		return Result{Hit: true, Set: set}
+		return Result{Hit: true}
 	}
-	res := Result{Set: set}
+	var res Result
 	if evicted {
 		res.Evicted = true
 		res.Victim = c.Geom.Compose(victimTag, set, 0)

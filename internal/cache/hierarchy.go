@@ -21,7 +21,6 @@ const (
 // speedups on the Broadwell and Skylake configurations).
 type System struct {
 	Machine mem.Machine
-	Cores   int
 
 	L1  []*Cache
 	L2  []*Cache
@@ -37,7 +36,7 @@ func NewSystem(m mem.Machine, cores int) *System {
 	if cores <= 0 {
 		panic(fmt.Sprintf("cache: NewSystem with %d cores", cores))
 	}
-	s := &System{Machine: m, Cores: cores, LLC: New(m.LLC, LRU, nil)}
+	s := &System{Machine: m, LLC: New(m.LLC, LRU, nil)}
 	for i := 0; i < cores; i++ {
 		s.L1 = append(s.L1, New(m.L1, LRU, nil))
 		s.L2 = append(s.L2, New(m.L2, LRU, nil))

@@ -244,6 +244,40 @@ func TestDaemonRejectsTooManyThreads(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsShortPeriod: a profile spec asking for a mean sampling
+// period below minPeriod is refused with 400 before a job exists — the
+// journal is untouched — while the bound itself is still accepted.
+func TestDaemonRejectsShortPeriod(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := newTestDaemon(t, dir, Options{Workers: 1})
+	journal := filepath.Join(dir, "jobs.journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		return rec
+	}
+	for _, period := range []int{1, minPeriod - 1} {
+		rec := post(fmt.Sprintf(`{"kind":"profile","workload":"himeno","period":%d}`, period))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("period %d: status %d, want 400 (body %s)", period, rec.Code, rec.Body)
+		}
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Errorf("short-period specs created jobs: %+v", jobs)
+	}
+	if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("short-period specs touched the journal (%d -> %d bytes, err %v)", len(before), len(after), err)
+	}
+	body := fmt.Sprintf(`{"kind":"profile","workload":"nw","period":%d}`, minPeriod)
+	if rec := post(body); rec.Code != http.StatusAccepted {
+		t.Fatalf("period at the bound: status %d, want 202 (body %s)", rec.Code, rec.Body)
+	}
+}
+
 // TestDaemonRejectsOverflowingDurations: a deadline_ms or fault_slow_ms
 // too large for a time.Duration in milliseconds would wrap negative — a
 // wrapped deadline switches the job's watchdog off — so it is refused

@@ -55,9 +55,13 @@ type Spec struct {
 	// Variant selects the build for profile jobs: "original" (default)
 	// or "optimized".
 	Variant string `json:"variant,omitempty"`
-	// Period overrides the workload's recommended mean sampling period.
+	// Period overrides the workload's recommended mean sampling period;
+	// it must be at least minPeriod.
 	Period uint64 `json:"period,omitempty"`
-	// Threshold overrides the short-RCD threshold T (0 = default).
+	// Threshold overrides the short-RCD threshold T (0 = default). It
+	// needs no upper bound: the contribution factor's cost does not grow
+	// with it (rcd.Tracker.ContributionFactor sums a fixed dense span of
+	// the RCD histogram plus the distinct long distances observed).
 	Threshold int `json:"threshold,omitempty"`
 	// Threads is the simulated thread count for profile jobs (0 = 1).
 	Threads int `json:"threads,omitempty"`
@@ -85,6 +89,14 @@ type Spec struct {
 
 // ErrBadSpec tags every validation failure of a submitted spec.
 var ErrBadSpec = errors.New("ccprofd: invalid job spec")
+
+// minPeriod is the shortest mean sampling period a job may ask for: the
+// shortest the paper and the workload registry use (HimenoBMT's
+// ProfilePeriod, the first of experiments.Fig8Periods). The bound caps
+// the samples a job buffers and analyzes: a period of 1 keeps every L1
+// miss, 1,874,700 samples for full-scale HimenoBMT on one thread, against
+// 61,539 at 31 (seed 1).
+const minPeriod = 31
 
 // Validate rejects malformed specs up front, so the queue and journal
 // only ever hold runnable jobs.
@@ -126,6 +138,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Threads > core.MaxThreads {
 		return fmt.Errorf("%w: %d threads, at most %d", ErrBadSpec, s.Threads, core.MaxThreads)
+	}
+	if s.Period != 0 && s.Period < minPeriod {
+		return fmt.Errorf("%w: period %d, at least %d", ErrBadSpec, s.Period, minPeriod)
 	}
 	if p := s.plan(1); p != nil {
 		if err := p.Validate(); err != nil {

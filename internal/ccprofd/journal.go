@@ -20,7 +20,6 @@ import (
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
-	path   string
 	closed bool
 }
 
@@ -66,7 +65,7 @@ func OpenJournal(path string) (*Journal, []*Job, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Journal{f: f, path: path}, jobs, nil
+	return &Journal{f: f}, jobs, nil
 }
 
 // replayJournal loads every parsable event of a journal file. A missing

@@ -121,6 +121,17 @@ func TestDominators(t *testing.T) {
 	}
 }
 
+// topLevel returns f's loops that have no parent, in order.
+func topLevel(f *Forest) []*Loop {
+	var top []*Loop
+	for _, l := range f.Loops {
+		if l.Parent == nil {
+			top = append(top, l)
+		}
+	}
+	return top
+}
+
 func TestFindLoopsNested(t *testing.T) {
 	bin, ips := buildNest(t)
 	g, _ := Build(bin)
@@ -131,10 +142,11 @@ func TestFindLoopsNested(t *testing.T) {
 		}
 		t.Fatalf("loop count = %d, want 2", len(f.Loops))
 	}
-	if len(f.Top) != 1 {
-		t.Fatalf("top-level loops = %d, want 1", len(f.Top))
+	top := topLevel(f)
+	if len(top) != 1 {
+		t.Fatalf("top-level loops = %d, want 1", len(top))
 	}
-	outer := f.Top[0]
+	outer := top[0]
 	if outer.Depth != 1 || len(outer.Children) != 1 {
 		t.Fatalf("outer loop shape wrong: %v", outer)
 	}
@@ -217,8 +229,8 @@ func TestSequentialLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := g.FindLoops()
-	if len(f.Loops) != 2 || len(f.Top) != 2 {
-		t.Fatalf("got %d loops (%d top), want 2 disjoint", len(f.Loops), len(f.Top))
+	if len(f.Loops) != 2 || len(topLevel(f)) != 2 {
+		t.Fatalf("got %d loops (%d top), want 2 disjoint", len(f.Loops), len(topLevel(f)))
 	}
 	a, c := f.InnermostAt(ld1), f.InnermostAt(ld2)
 	if a == nil || c == nil || a == c {
@@ -309,7 +321,7 @@ func TestLoopName(t *testing.T) {
 	bin, _ := buildNest(t)
 	g, _ := Build(bin)
 	f := g.FindLoops()
-	if got := f.Top[0].Name(); got != "t.c:1" {
+	if got := topLevel(f)[0].Name(); got != "t.c:1" {
 		t.Errorf("outer loop name = %q, want t.c:1", got)
 	}
 	anon := &Loop{Header: &Block{Start: 0x100}}

@@ -49,7 +49,6 @@ func (l *Loop) String() string {
 // Graph.
 type Forest struct {
 	Loops     []*Loop // all loops, inner loops after their parents
-	Top       []*Loop // loops with no parent
 	innermost []*Loop // block ID -> innermost containing loop (nil if none)
 	graph     *Graph
 }
@@ -277,7 +276,7 @@ func (g *Graph) FindLoops() *Forest {
 		fillLoop(g, blockOf, innermost, l, 1)
 	}
 	sc.loops, sc.top = loops, top
-	f.Loops, f.Top = loops, top
+	f.Loops = loops
 	return f
 }
 

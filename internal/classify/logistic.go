@@ -55,41 +55,26 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// TrainOptions tunes gradient-descent training. The zero value selects the
-// defaults below.
-type TrainOptions struct {
-	LearningRate float64 // default 1.0
-	Iterations   int     // default 5000
-	L2           float64 // ridge penalty; default 1e-3 keeps separable data finite
-}
-
-func (o TrainOptions) withDefaults() TrainOptions {
-	if o.LearningRate == 0 {
-		o.LearningRate = 1.0
-	}
-	if o.Iterations == 0 {
-		o.Iterations = 5000
-	}
-	if o.L2 == 0 {
-		o.L2 = 1e-3
-	}
-	return o
-}
+// Gradient-descent settings of Train.
+const (
+	learningRate = 1.0
+	iterations   = 5000
+	ridge        = 1e-3 // L2 penalty; keeps the weights of separable data finite
+)
 
 // Train fits a logistic model to (features[i], labels[i]) pairs by batch
 // gradient descent on the regularized log-loss. It returns an error when
 // the inputs are empty or mismatched.
-func Train(features []float64, labels []bool, opts TrainOptions) (Logistic, error) {
+func Train(features []float64, labels []bool) (Logistic, error) {
 	if len(features) == 0 {
 		return Logistic{}, fmt.Errorf("classify: no training data")
 	}
 	if len(features) != len(labels) {
 		return Logistic{}, fmt.Errorf("classify: %d features but %d labels", len(features), len(labels))
 	}
-	o := opts.withDefaults()
 	var m Logistic
 	n := float64(len(features))
-	for it := 0; it < o.Iterations; it++ {
+	for it := 0; it < iterations; it++ {
 		var g0, g1 float64
 		for i, x := range features {
 			y := 0.0
@@ -100,10 +85,10 @@ func Train(features []float64, labels []bool, opts TrainOptions) (Logistic, erro
 			g0 += err
 			g1 += err * x
 		}
-		g0 = g0/n + o.L2*m.Bias
-		g1 = g1/n + o.L2*m.Weight
-		m.Bias -= o.LearningRate * g0
-		m.Weight -= o.LearningRate * g1
+		g0 = g0/n + ridge*m.Bias
+		g1 = g1/n + ridge*m.Weight
+		m.Bias -= learningRate * g0
+		m.Weight -= learningRate * g1
 	}
 	return m, nil
 }
@@ -122,7 +107,7 @@ func (m Logistic) Evaluate(features []float64, labels []bool) stats.Confusion {
 // pooling all held-out predictions into one confusion matrix (whose F1 is
 // what Figure 8 plots). rng shuffles the fold assignment; pass a seeded
 // source for reproducibility.
-func CrossValidate(features []float64, labels []bool, k int, opts TrainOptions, rng *rand.Rand) (stats.Confusion, error) {
+func CrossValidate(features []float64, labels []bool, k int, rng *rand.Rand) (stats.Confusion, error) {
 	var pooled stats.Confusion
 	if len(features) != len(labels) {
 		return pooled, fmt.Errorf("classify: %d features but %d labels", len(features), len(labels))
@@ -144,7 +129,7 @@ func CrossValidate(features []float64, labels []bool, k int, opts TrainOptions, 
 				trainY = append(trainY, labels[i])
 			}
 		}
-		m, err := Train(trainX, trainY, opts)
+		m, err := Train(trainX, trainY)
 		if err != nil {
 			return pooled, fmt.Errorf("classify: fold %d: %w", fi, err)
 		}

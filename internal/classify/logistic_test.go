@@ -40,7 +40,7 @@ func TestSigmoidStability(t *testing.T) {
 
 func TestTrainSeparatesPaperData(t *testing.T) {
 	x, y := paperLikeData()
-	m, err := Train(x, y, TrainOptions{})
+	m, err := Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestTrainSeparatesPaperData(t *testing.T) {
 
 func TestProbMonotoneInFeature(t *testing.T) {
 	x, y := paperLikeData()
-	m, err := Train(x, y, TrainOptions{})
+	m, err := Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestProbMonotoneInFeature(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, nil, TrainOptions{}); err == nil {
+	if _, err := Train(nil, nil); err == nil {
 		t.Error("empty training set should error")
 	}
-	if _, err := Train([]float64{1}, []bool{true, false}, TrainOptions{}); err == nil {
+	if _, err := Train([]float64{1}, []bool{true, false}); err == nil {
 		t.Error("mismatched lengths should error")
 	}
 }
@@ -100,7 +100,7 @@ func TestStringContainsBoundary(t *testing.T) {
 
 func TestCrossValidatePerfectlySeparable(t *testing.T) {
 	x, y := paperLikeData()
-	c, err := CrossValidate(x, y, 8, TrainOptions{}, stats.NewRand(1))
+	c, err := CrossValidate(x, y, 8, stats.NewRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCrossValidateNoisyData(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		y[i] = true
 	}
-	c, err := CrossValidate(x, y, 4, TrainOptions{}, stats.NewRand(2))
+	c, err := CrossValidate(x, y, 4, stats.NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +127,17 @@ func TestCrossValidateNoisyData(t *testing.T) {
 }
 
 func TestCrossValidateErrors(t *testing.T) {
-	if _, err := CrossValidate([]float64{1}, []bool{true, false}, 2, TrainOptions{}, nil); err == nil {
+	if _, err := CrossValidate([]float64{1}, []bool{true, false}, 2, nil); err == nil {
 		t.Error("mismatched lengths should error")
 	}
-	if _, err := CrossValidate([]float64{1, 2}, []bool{true, false}, 5, TrainOptions{}, nil); err == nil {
+	if _, err := CrossValidate([]float64{1, 2}, []bool{true, false}, 5, nil); err == nil {
 		t.Error("k > n should error")
 	}
 }
 
 func TestCrossValidateCoversAllSamples(t *testing.T) {
 	x, y := paperLikeData()
-	c, err := CrossValidate(x, y, 8, TrainOptions{}, stats.NewRand(3))
+	c, err := CrossValidate(x, y, 8, stats.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,8 @@ func TestCrossValidateCoversAllSamples(t *testing.T) {
 
 func TestTrainDeterministic(t *testing.T) {
 	x, y := paperLikeData()
-	a, _ := Train(x, y, TrainOptions{})
-	b, _ := Train(x, y, TrainOptions{})
+	a, _ := Train(x, y)
+	b, _ := Train(x, y)
 	if a != b {
 		t.Errorf("training not deterministic: %v vs %v", a, b)
 	}
@@ -162,8 +162,8 @@ func TestLabelFlipFlipsWeight(t *testing.T) {
 	for i, v := range y {
 		flipped[i] = !v
 	}
-	m1, _ := Train(x, y, TrainOptions{})
-	m2, _ := Train(x, flipped, TrainOptions{})
+	m1, _ := Train(x, y)
+	m2, _ := Train(x, flipped)
 	if m1.Weight*m2.Weight >= 0 {
 		t.Errorf("weights should have opposite signs: %g vs %g", m1.Weight, m2.Weight)
 	}
@@ -172,7 +172,7 @@ func TestLabelFlipFlipsWeight(t *testing.T) {
 func BenchmarkTrain(b *testing.B) {
 	x, y := paperLikeData()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(x, y, TrainOptions{Iterations: 1000}); err != nil {
+		if _, err := Train(x, y); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,7 +67,6 @@ func cacheGet(cacheDir, key string) (DirResult, bool) {
 	if dr.Diags == nil {
 		dr.Diags = []Diagnostic{}
 	}
-	dr.FromCache = true
 	return dr, true
 }
 

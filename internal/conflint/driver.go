@@ -93,11 +93,9 @@ func (p *Pass) CtorPos(k *Kernel) Position {
 	return Position{}
 }
 
-// Config tunes a lint run. The zero Geometry selects mem.L1Default.
+// Config tunes a lint run. Every run lints against the default L1
+// (mem.L1Default) with the rule set of Analyzers().
 type Config struct {
-	Geom mem.Geometry
-	// Analyzers is the rule set; nil selects Analyzers().
-	Analyzers []*Analyzer
 	// CacheDir enables the incremental cache when non-empty: directory
 	// results are keyed on file content hashes and reused verbatim when
 	// nothing in the package changed.
@@ -119,12 +117,11 @@ type KernelSummary struct {
 // DirResult is the outcome for one package directory — the unit the
 // incremental cache stores.
 type DirResult struct {
-	Dir       string            `json:"dir"`
-	Kernels   []KernelSummary   `json:"kernels,omitempty"`
-	Diags     []Diagnostic      `json:"findings"`
-	Skipped   map[string]string `json:"skipped,omitempty"`
-	LoadErr   string            `json:"load_error,omitempty"` // not a lintable package
-	FromCache bool              `json:"-"`
+	Dir     string            `json:"dir"`
+	Kernels []KernelSummary   `json:"kernels,omitempty"`
+	Diags   []Diagnostic      `json:"findings"`
+	Skipped map[string]string `json:"skipped,omitempty"`
+	LoadErr string            `json:"load_error,omitempty"` // not a lintable package
 }
 
 // Result is a full lint run.
@@ -155,12 +152,6 @@ func newCounters(reg *obs.Registry) *counters {
 // recorded with a LoadErr and otherwise skipped, so linting a whole
 // module tree is cheap.
 func Run(dirs []string, cfg Config) (*Result, error) {
-	if cfg.Geom == (mem.Geometry{}) {
-		cfg.Geom = mem.L1Default()
-	}
-	if cfg.Analyzers == nil {
-		cfg.Analyzers = Analyzers()
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.New()
@@ -243,10 +234,11 @@ func sortDiags(ds []Diagnostic) {
 // invalidates the entry and a hit is byte-equivalent to a cold run.
 func lintDir(dir string, cfg Config, c *counters) (DirResult, error) {
 	c.dirs.Inc()
+	geom, analyzers := mem.L1Default(), Analyzers()
 	key := ""
 	if cfg.CacheDir != "" {
 		var err error
-		key, err = dirKey(dir, cfg.Geom, cfg.Analyzers)
+		key, err = dirKey(dir, geom, analyzers)
 		if err == nil {
 			if dr, ok := cacheGet(cfg.CacheDir, key); ok {
 				c.cacheHits.Inc()
@@ -257,27 +249,27 @@ func lintDir(dir string, cfg Config, c *counters) (DirResult, error) {
 	}
 
 	dr := DirResult{Dir: dir, Skipped: map[string]string{}}
-	set, err := specgen.LintLoad(dir, cfg.Geom)
+	set, err := specgen.LintLoad(dir, geom)
 	if err != nil {
 		// Not a parsable Go package (or empty): nothing to lint.
 		dr.LoadErr = err.Error()
 		dr.Skipped = nil
 	} else {
-		pass := &Pass{Dir: dir, Pkg: set.Pkg, Geom: cfg.Geom, c: c}
+		pass := &Pass{Dir: dir, Pkg: set.Pkg, Geom: geom, c: c}
 		dr.Skipped = set.Skipped
 		for i := range set.Kernels {
 			lk := set.Kernels[i]
 			c.extracted.Inc()
 			k := &Kernel{Ctor: lk.Ctor, Variant: lk.Variant, Label: lk.Label, Ex: lk.Ex, Decl: set.Pkg.FuncDecl(lk.Ctor)}
 			if lk.Ex.Spec != nil {
-				if ar, err := analytic.Analyze(lk.Ex.Spec, cfg.Geom, analytic.Options{}); err == nil {
+				if ar, err := analytic.Analyze(lk.Ex.Spec, geom, analytic.Options{}); err == nil {
 					k.PredCF, k.Static = ar.PredictedCF, ar
 				}
 			}
 			pass.Kernels = append(pass.Kernels, k)
 		}
 		perKernel := map[string]int{}
-		for _, a := range cfg.Analyzers {
+		for _, a := range analyzers {
 			before := len(pass.diags)
 			if err := a.Run(pass); err != nil {
 				return DirResult{}, fmt.Errorf("conflint: %s: %s: %w", dir, a.Name, err)

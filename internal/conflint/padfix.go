@@ -33,7 +33,6 @@ const padCFThreshold = 0.25
 // row-pad argument is an editable integer literal.
 type allocSite struct {
 	array  string
-	fun    string // NewMatrix2D or NewMatrix3D
 	call   *ast.CallExpr
 	padLit *ast.BasicLit // the rowPad argument
 	elem   uint64        // element size when literal, else 0
@@ -73,9 +72,8 @@ func allocCalls(root ast.Node, array string) []allocSite {
 		if !ok {
 			return true
 		}
-		name := calleeName(call)
 		var padIdx, elemIdx int
-		switch name {
+		switch calleeName(call) {
 		case "NewMatrix2D": // (arena, name, rows, cols, elem, rowPad)
 			padIdx, elemIdx = 5, 4
 		case "NewMatrix3D": // (arena, name, ni, nj, nk, elem, rowPad, planePad)
@@ -97,7 +95,7 @@ func allocCalls(root ast.Node, array string) []allocSite {
 		if !ok || pad.Kind != token.INT {
 			return true
 		}
-		site := allocSite{array: array, fun: name, call: call, padLit: pad}
+		site := allocSite{array: array, call: call, padLit: pad}
 		if el, ok := call.Args[elemIdx].(*ast.BasicLit); ok && el.Kind == token.INT {
 			if v, err := strconv.ParseUint(el.Value, 0, 64); err == nil {
 				site.elem = v

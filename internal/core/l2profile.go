@@ -20,17 +20,21 @@ import (
 // translate each sampled address, and run the same RCD machinery over
 // *physical* set indices.
 
-// L2ProfileOptions configures the physically-indexed profiling run.
+// L2ProfileOptions configures the physically-indexed profiling run. The
+// run samples misses of the default L1 (mem.L1Default) that also miss
+// the 256KiB 8-way private L2 (l2Geometry).
 type L2ProfileOptions struct {
-	L1     mem.Geometry // zero selects mem.L1Default()
-	L2     mem.Geometry // zero selects the 256KiB 8-way private L2
 	Period pmu.PeriodDist
 	Seed   int64
 	Policy vmem.Policy // frame-allocation policy of the address space
-	// Threshold is the short-RCD cutoff; 0 scales the paper's choice to
-	// the L2's set count (T = Sets/8, matching 8-of-64 at L1).
-	Threshold int
 }
+
+// l2Geometry is the sampled L2: 256KiB, 8-way, 64-byte lines.
+var l2Geometry = mem.MustGeometry(64, 512, 8)
+
+// l2Threshold is the short-RCD cutoff over L2 sets: the paper's choice
+// scaled to the L2's set count (T = Sets/8, matching 8-of-64 at L1).
+var l2Threshold = max(l2Geometry.Sets/8, rcd.DefaultThreshold)
 
 // L2Analysis summarizes physically-indexed L2 conflict behaviour.
 type L2Analysis struct {
@@ -73,33 +77,18 @@ func ProfileL2(p *workloads.Program, opts L2ProfileOptions) (*L2Analysis, error)
 	if p == nil {
 		return nil, ErrNilProgram
 	}
-	if opts.L1.Sets == 0 {
-		opts.L1 = mem.L1Default()
-	}
-	if opts.L2.Sets == 0 {
-		opts.L2 = mem.MustGeometry(64, 512, 8)
-	}
 	if opts.Period == nil {
 		opts.Period = pmu.Uniform(171)
 	}
-	if opts.Threshold == 0 {
-		opts.Threshold = opts.L2.Sets / 8
-		if opts.Threshold < rcd.DefaultThreshold {
-			opts.Threshold = rcd.DefaultThreshold
-		}
-	}
-	// Validate both cache levels' resolved sampler parameters up front.
-	if err := (pmu.Config{Geom: opts.L1, Period: opts.Period}).Validate(); err != nil {
-		return nil, fmt.Errorf("core: L2 profile config (L1 level): %w", err)
-	}
-	if err := (pmu.Config{Geom: opts.L2, Period: opts.Period}).Validate(); err != nil {
-		return nil, fmt.Errorf("core: L2 profile config (L2 level): %w", err)
+	l1 := mem.L1Default()
+	if err := (pmu.Config{Geom: l1, Period: opts.Period}).Validate(); err != nil {
+		return nil, fmt.Errorf("core: L2 profile config: %w", err)
 	}
 	defer obs.Default.StartPhase("profile.l2")()
 	space := vmem.NewSpace(opts.Policy, nil)
 	s := pmu.NewL2Sampler(pmu.L2Config{
-		L1:     opts.L1,
-		L2:     opts.L2,
+		L1:     l1,
+		L2:     l2Geometry,
 		Period: opts.Period,
 		Seed:   opts.Seed,
 		Space:  space,
@@ -107,7 +96,7 @@ func ProfileL2(p *workloads.Program, opts L2ProfileOptions) (*L2Analysis, error)
 	p.Run(s)
 	s.ObserveInto(obs.Default)
 
-	tr := rcd.New(opts.L2.Sets)
+	tr := rcd.New(l2Geometry.Sets)
 	an := &L2Analysis{
 		Workload: p.Name,
 		Policy:   opts.Policy,
@@ -116,13 +105,13 @@ func ProfileL2(p *workloads.Program, opts L2ProfileOptions) (*L2Analysis, error)
 		Data:     make(map[string]int),
 	}
 	for _, sm := range s.Samples {
-		tr.Observe(opts.L2.Set(sm.PAddr))
+		tr.Observe(l2Geometry.Set(sm.PAddr))
 		if blk, ok := findIn(p.Arena, sm.VAddr); ok {
 			an.Data[blk]++
 		}
 	}
-	an.Threshold = opts.Threshold
-	an.CF = tr.ContributionFactor(opts.Threshold)
+	an.Threshold = l2Threshold
+	an.CF = tr.ContributionFactor(l2Threshold)
 	an.SetsUsed = tr.SetsUsed()
 	return an, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/mem"
 	"repro/internal/objfile"
 	"repro/internal/pmu"
 	"repro/internal/trace"
@@ -67,16 +66,15 @@ func TestProfileL2DataAttributionThroughVirtualAddr(t *testing.T) {
 func TestProfileL2PolicyMatters(t *testing.T) {
 	// A column walk with a 256KiB stride: under identity mapping every
 	// access shares one physical set; random frame allocation recolours
-	// the (64 available) page colours and disperses the conflict. With
-	// 4KiB pages this dispersal only exists for strides spanning many
-	// colours — symmetrization-style 4KiB rows barely react, which is
-	// why the L2 extension experiment pads instead of recolouring.
+	// the L2's 8 page colours (a 32KiB set span over 4KiB pages) and
+	// disperses the conflict. Twelve rows overflow one set's 8 ways but
+	// fit once spread, leaving random paging only the compulsory misses.
+	// With 4KiB pages this dispersal only exists for strides spanning
+	// many colours — symmetrization-style 4KiB rows barely react, which
+	// is why the L2 extension experiment pads instead of recolouring.
 	run := func(pol vmem.Policy) float64 {
-		p := strideKernel(256*1024, 64, 40)
+		p := strideKernel(256*1024, 12, 40)
 		an, err := ProfileL2(p, L2ProfileOptions{
-			// An LLC-sized sampled cache: 4096 sets x 64B = 256KiB set
-			// span = 64 page colours, enough for recolouring to act.
-			L2:     mem.MustGeometry(64, 4096, 8),
 			Period: pmu.Fixed(1),
 			Seed:   3,
 			Policy: pol,

@@ -39,7 +39,7 @@ var (
 // identical in every process.
 func DefaultModel() classify.Logistic {
 	defaultModelOnce.Do(func() {
-		m, err := classify.Train(builtinTraining.cf, builtinTraining.labels, classify.TrainOptions{})
+		m, err := classify.Train(builtinTraining.cf, builtinTraining.labels)
 		if err != nil {
 			panic("core: training builtin model: " + err.Error())
 		}

@@ -137,7 +137,6 @@ func AblationPeriodDist(w io.Writer, scale Scale, mean uint64) ([]PeriodDistRow,
 type ReplacementRow struct {
 	Policy     string
 	Misses     uint64
-	SetsUsed   int
 	Imbalance  float64
 	MissesPad  uint64
 	PadBenefit float64 // miss reduction from padding under this policy
@@ -162,7 +161,6 @@ func AblationReplacement(w io.Writer, scale Scale) ([]ReplacementRow, error) {
 		row := ReplacementRow{
 			Policy:    pol.String(),
 			Misses:    orig.Misses,
-			SetsUsed:  orig.SetsUsed(),
 			Imbalance: imbalance(orig.SetMisses),
 			MissesPad: pad.Misses,
 		}

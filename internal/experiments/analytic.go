@@ -18,19 +18,18 @@ import (
 )
 
 // AnalyticRow is one kernel variant in the three-way comparison: the
-// closed-form tier-0 verdict, the enumerating tier-1 verdict, and the
+// closed-form verdict, the verdict of staticconf's enumerating analyzer
+// (the reference the closed form is checked against), and the
 // exact-simulation ground truth.
 type AnalyticRow struct {
-	App           string
-	Analytic      bool    // tier 0: closed-form model, conflict predicted
-	Static        bool    // tier 1: enumerating analyzer, conflict predicted
-	Dynamic       bool    // exact simulation: conflict observed
-	AnalyticCF    float64 // tier-0 predicted contribution factor
-	StaticCF      float64 // tier-1 predicted contribution factor
-	ExactCF       float64 // exact cf from the full reference stream
-	ConflictRatio float64 // 3C conflict-miss share of all misses
-	Exact         bool    // tier-0 model claims exact arithmetic
-	Reason        string  // tier-0 one-line justification
+	App        string
+	Analytic   bool    // closed-form model: conflict predicted
+	Static     bool    // enumerating analyzer: conflict predicted
+	Dynamic    bool    // exact simulation: conflict observed
+	AnalyticCF float64 // closed-form predicted contribution factor
+	StaticCF   float64 // enumerator's predicted contribution factor
+	ExactCF    float64 // exact cf from the full reference stream
+	Exact      bool    // the closed-form model claims exact arithmetic
 }
 
 // Agree reports whether the analytic verdict matches the dynamic one.
@@ -155,16 +154,14 @@ func Analytic(w io.Writer, scale Scale) (*AnalyticResult, error) {
 		exactCF := sink.tr.ContributionFactor(rcd.DefaultThreshold)
 
 		return AnalyticRow{
-			App:           v.app,
-			Analytic:      ar.Conflict,
-			Static:        sr.Conflict,
-			Dynamic:       ratio >= dynConflictRatioMin || exactCF >= dynExactCFMin,
-			AnalyticCF:    ar.PredictedCF,
-			StaticCF:      sr.PredictedCF,
-			ExactCF:       exactCF,
-			ConflictRatio: ratio,
-			Exact:         ar.Exact,
-			Reason:        ar.Reason,
+			App:        v.app,
+			Analytic:   ar.Conflict,
+			Static:     sr.Conflict,
+			Dynamic:    ratio >= dynConflictRatioMin || exactCF >= dynExactCFMin,
+			AnalyticCF: ar.PredictedCF,
+			StaticCF:   sr.PredictedCF,
+			ExactCF:    exactCF,
+			Exact:      ar.Exact,
 		}, nil
 	})
 	if err != nil {

@@ -25,6 +25,8 @@ type quickRun struct {
 	rows any    // the result rows, for shape assertions
 	out  []byte // text followed by the rows' JSON: all a user or tool reads
 	obs  []byte // the deterministic slice of the run's obs snapshot
+	// phases are the run's wall-clock span timings, which obs leaves out.
+	phases map[string]obs.PhaseSnapshot
 }
 
 var (
@@ -58,7 +60,7 @@ func sharedRun(t *testing.T, name string, i int) *quickRun {
 	r := new(quickRun)
 	var err error
 	atWorkers([2]int{1, 8}[i], func() {
-		r.obs = deterministicObs(t, func() {
+		r.obs, r.phases = deterministicObs(t, func() {
 			var buf bytes.Buffer
 			r.rows, err = fn(&buf, Quick)
 			r.text = buf.Bytes()
@@ -139,18 +141,20 @@ func TestExperimentsRunTwiceIdentical(t *testing.T) {
 // deterministicObs runs fn against a freshly reset process registry and
 // returns the JSON of the worker-count-independent slice of its snapshot:
 // counters and histograms (gauges legitimately record configuration such
-// as the worker count itself, and phases are wall-clock).
-func deterministicObs(t *testing.T, fn func()) []byte {
+// as the worker count itself, and phases are wall-clock). It returns the
+// phases apart.
+func deterministicObs(t *testing.T, fn func()) ([]byte, map[string]obs.PhaseSnapshot) {
 	t.Helper()
 	obs.Default.Reset()
 	fn()
-	s := obs.Default.Snapshot().Deterministic()
+	snap := obs.Default.Snapshot()
+	s := snap.Deterministic()
 	s.Gauges = nil
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), snap.Phases
 }
 
 // TestObsCountersSerialParallelIdentical extends the determinism guarantee

@@ -425,8 +425,8 @@ func TestSpecgenShape(t *testing.T) {
 			t.Errorf("%s: empty extracted spec", row.App)
 		}
 	}
-	if res.ExtractTime <= 0 {
-		t.Error("extraction time not measured")
+	if run.phases["extract"].TotalNs <= 0 {
+		t.Error("extraction time not measured: no obs \"extract\" phase")
 	}
 	out := string(run.text)
 	if !strings.Contains(out, "confusion matrix") || !strings.Contains(out, "spec extraction") {

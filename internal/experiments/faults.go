@@ -92,7 +92,6 @@ type FaultsRow struct {
 
 // faultsOutcome is one variant's profiling result under a plan.
 type faultsOutcome struct {
-	Variant   string
 	Predicted bool
 	Actual    bool
 	Kept      uint64
@@ -148,7 +147,6 @@ func Faults(w io.Writer, scale Scale) ([]FaultsRow, error) {
 				return faultsOutcome{}, err
 			}
 			return faultsOutcome{
-				Variant:   prog.Name,
 				Predicted: an.Conflict,
 				Actual:    actual,
 				Kept:      uint64(prof.SampleCount()),

@@ -89,8 +89,7 @@ func Fig8(w io.Writer, scale Scale, periods []uint64) ([]Fig8Point, error) {
 			features[i] = an.CF
 			ovSum += om.ProfilingOf(prof)
 		}
-		conf, err := classify.CrossValidate(features, labels, 8,
-			classify.TrainOptions{}, stats.NewRand(int64(period)))
+		conf, err := classify.CrossValidate(features, labels, 8, stats.NewRand(int64(period)))
 		if err != nil {
 			return nil, err
 		}

@@ -29,24 +29,18 @@ type SpecgenRow struct {
 	StaticCF      float64
 	ExactCF       float64
 	ConflictRatio float64
-	Reason        string
 }
 
 // Agree reports whether the static verdict matches the dynamic one.
 func (r SpecgenRow) Agree() bool { return r.Static == r.Dynamic }
 
 // SpecgenResult is the confusion matrix of the static analyzer running on
-// extracted specs, plus the cost of extraction itself.
+// extracted specs. The wall time of the extraction itself is the
+// "extract" phase of the obs snapshot, kept out of the result so it stays
+// deterministic.
 type SpecgenResult struct {
 	Rows           []SpecgenRow
 	TP, TN, FP, FN int
-	// ExtractTime is the total wall time the source-level extractor spent
-	// deriving every spec in the table (serial, single-threaded). Wall
-	// clock is non-deterministic, so the field is excluded from the
-	// serialized report and from the rendered text; it is recorded as the
-	// "extract" phase of the obs snapshot and stays available to
-	// in-process callers.
-	ExtractTime time.Duration `json:"-"`
 }
 
 // Agreement returns the fraction of rows where static and dynamic agree.
@@ -163,8 +157,7 @@ func Specgen(w io.Writer, scale Scale) (*SpecgenResult, error) {
 			variants = append(variants, variant{prog.Name, prog, ex})
 		}
 	}
-	extractTime := time.Since(start)
-	obs.Default.ObservePhase("extract", extractTime)
+	obs.Default.ObservePhase("extract", time.Since(start))
 
 	// Phase 2: static verdicts from the extracted specs, dynamic ground
 	// truth from exact simulation, fanned out across the sweep executor.
@@ -179,10 +172,8 @@ func Specgen(w io.Writer, scale Scale) (*SpecgenResult, error) {
 			}
 			row.Static = sr.Conflict
 			row.StaticCF = sr.PredictedCF
-			row.Reason = sr.Reason
 		} else {
 			row.Abstained = true
-			row.Reason = "extraction abstained: no analyzable reference site"
 		}
 
 		sink := &classifySink{g: g, cl: cache.NewClassifier(g), tr: rcd.New(g.Sets)}
@@ -198,7 +189,7 @@ func Specgen(w io.Writer, scale Scale) (*SpecgenResult, error) {
 		return nil, err
 	}
 
-	res := &SpecgenResult{Rows: rows, ExtractTime: extractTime}
+	res := &SpecgenResult{Rows: rows}
 	for _, row := range rows {
 		switch {
 		case row.Static && row.Dynamic:

@@ -42,7 +42,6 @@ type StaticConfRow struct {
 	StaticCF      float64 // predicted short-RCD contribution factor
 	ExactCF       float64 // exact cf from the full reference stream
 	ConflictRatio float64 // 3C conflict-miss share of all misses
-	Reason        string  // analyzer's one-line justification
 }
 
 // Agree reports whether the static verdict matches the dynamic one.
@@ -139,7 +138,6 @@ func StaticConf(w io.Writer, scale Scale) (*StaticConfResult, error) {
 			StaticCF:      sr.PredictedCF,
 			ExactCF:       exactCF,
 			ConflictRatio: ratio,
-			Reason:        sr.Reason,
 		}, nil
 	})
 	if err != nil {

@@ -60,7 +60,7 @@ type Plan struct {
 	// TruncateRate is the per-sample probability that a buffer-overflow
 	// burst starts at that sample; the sample and the following
 	// TruncateBurst-1 samples are discarded as a block, modelling a full
-	// PEBS buffer beyond pmu.Config.MaxSamples.
+	// PEBS buffer.
 	TruncateRate float64
 	// TruncateBurst is the burst length; 0 selects 8.
 	TruncateBurst int

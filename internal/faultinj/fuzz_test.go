@@ -80,8 +80,8 @@ func FuzzFaultPlan(f *testing.F) {
 			}
 			return
 		}
-		if !tolerate && rep.Completed != shards {
-			t.Fatalf("nil error but only %d/%d shards completed", rep.Completed, shards)
+		if !tolerate && rep.ShardsLost() != 0 {
+			t.Fatalf("nil error but %d/%d shards lost", rep.ShardsLost(), shards)
 		}
 	})
 }

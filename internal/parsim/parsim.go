@@ -61,18 +61,9 @@ type Options struct {
 	Workers int
 
 	// Retries re-runs a failed task (error, recovered panic, or timeout)
-	// up to this many additional attempts before declaring the shard
-	// lost. 0 fails on the first error, as a serial loop would.
+	// at once, up to this many additional attempts, before declaring the
+	// shard lost. 0 fails on the first error, as a serial loop would.
 	Retries int
-
-	// Backoff is the delay before a task's first retry, doubling on each
-	// subsequent retry and capped at BackoffCap. The schedule is
-	// deterministic (no jitter) and pure wall-clock pacing: it never
-	// reaches results, reports, or obs counters. 0 retries immediately.
-	Backoff time.Duration
-
-	// BackoffCap bounds the exponential backoff; 0 selects 500ms.
-	BackoffCap time.Duration
 
 	// Deadline is the per-attempt watchdog: each attempt runs under a
 	// context cancelled after this duration, and the worker stops waiting
@@ -93,14 +84,6 @@ type Options struct {
 	// disk so a sweep killed mid-run can be re-run with Resume and skip
 	// the shards that already finished. See Checkpoint for the contract.
 	Checkpoint *Checkpoint
-}
-
-// backoffCap resolves the BackoffCap default.
-func (o Options) backoffCap() time.Duration {
-	if o.BackoffCap > 0 {
-		return o.BackoffCap
-	}
-	return 500 * time.Millisecond
 }
 
 // A TaskError wraps the error of one failed task with its index, so a

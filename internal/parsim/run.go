@@ -90,12 +90,9 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // behavior alone (never of wall clock or scheduling), so reports that
 // include them stay byte-identical at any worker count.
 type Report struct {
-	// Tasks is the sweep size; Completed the tasks that produced a result
-	// (including restored ones); Restored the tasks skipped because the
-	// checkpoint already held their result.
-	Tasks     int
-	Completed int
-	Restored  int
+	// Restored counts the tasks skipped because the checkpoint already
+	// held their result.
+	Restored int
 	// Retries counts re-run attempts beyond each task's first; Panics the
 	// worker panics recovered; Timeouts the attempts the deadline
 	// watchdog cancelled.
@@ -143,7 +140,7 @@ type taskStats struct {
 // index order exactly as for Run; under Options.Tolerate lost shards hold
 // the zero value and err is nil.
 func RunCtx[T any](n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, *Report, error) {
-	rep := &Report{Tasks: n}
+	rep := &Report{}
 	if n <= 0 {
 		return nil, rep, nil
 	}
@@ -238,7 +235,6 @@ func RunCtx[T any](n int, opts Options, fn func(ctx context.Context, i int) (T, 
 			rep.Failed = append(rep.Failed, serr)
 		}
 	}
-	rep.Completed = n - len(rep.Failed)
 	rep.observeInto(reg)
 
 	if ck != nil {
@@ -256,11 +252,9 @@ func RunCtx[T any](n int, opts Options, fn func(ctx context.Context, i int) (T, 
 	return results, rep, nil
 }
 
-// attemptLoop drives one task through its attempts, classifying failures
-// and pacing retries with capped exponential backoff.
+// attemptLoop drives one task through its attempts, classifying failures.
 func attemptLoop[T any](i int, opts Options, fn func(ctx context.Context, i int) (T, error)) (T, taskStats, *ShardError) {
 	var stats taskStats
-	backoff := opts.Backoff
 	attempts := opts.Retries + 1
 	if attempts < 1 {
 		// Negative Retries must not skip the task entirely (a zero-attempt
@@ -272,12 +266,6 @@ func attemptLoop[T any](i int, opts Options, fn func(ctx context.Context, i int)
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			stats.retries++
-			if backoff > 0 {
-				time.Sleep(backoff)
-				if backoff *= 2; backoff > opts.backoffCap() {
-					backoff = opts.backoffCap()
-				}
-			}
 		}
 		v, err := runAttempt(i, attempt, opts.Deadline, fn)
 		if err == nil {

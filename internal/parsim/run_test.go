@@ -73,7 +73,7 @@ func TestRunCtxPanicRecovery(t *testing.T) {
 func TestRunCtxRetry(t *testing.T) {
 	const n = 20
 	for _, workers := range []int{1, 4, 8} {
-		res, rep, err := RunCtx(n, Options{Workers: workers, Retries: 2, Backoff: time.Microsecond},
+		res, rep, err := RunCtx(n, Options{Workers: workers, Retries: 2},
 			func(ctx context.Context, i int) (int, error) {
 				// Shards divisible by 5 panic on attempt 0 and error on
 				// attempt 1, then succeed; shard 7 errors once.
@@ -102,7 +102,7 @@ func TestRunCtxRetry(t *testing.T) {
 		if rep.Retries != 9 || rep.Panics != 4 {
 			t.Errorf("workers=%d: Report{Retries: %d, Panics: %d}, want {9, 4}", workers, rep.Retries, rep.Panics)
 		}
-		if rep.Completed != n || rep.Degraded() {
+		if rep.ShardsLost() != 0 || rep.Degraded() {
 			t.Errorf("workers=%d: Report = %+v, want all %d completed", workers, rep, n)
 		}
 	}
@@ -194,8 +194,8 @@ func TestRunCtxTolerate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tolerated sweep returned error: %v", err)
 	}
-	if !rep.Degraded() || rep.ShardsLost() != 2 || rep.Completed != 8 {
-		t.Fatalf("Report = %+v, want 2 lost, 8 completed", rep)
+	if !rep.Degraded() || rep.ShardsLost() != 2 {
+		t.Fatalf("Report = %+v, want 2 lost", rep)
 	}
 	if rep.Failed[0].Index != 2 || rep.Failed[0].Kind != KindError ||
 		rep.Failed[1].Index != 6 || rep.Failed[1].Kind != KindPanic {
@@ -242,7 +242,7 @@ func TestRunCtxCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != 0 || rep.Completed != n {
+	if rep.Restored != 0 || rep.ShardsLost() != 0 {
 		t.Fatalf("clean run Report = %+v", rep)
 	}
 	lines := checkpointLines(t, full)

@@ -91,7 +91,7 @@ func (s *Sampler) Reconfigure(cfg Config) {
 		s.rng.Seed(cfg.Seed)
 	}
 	s.burst = 0
-	s.Events, s.Refs, s.Dropped = 0, 0, 0
+	s.Events, s.Refs = 0, 0
 	s.FaultDropped, s.FaultTruncated, s.FaultCorrupted = 0, 0, 0
 	s.Samples = s.Samples[:0]
 	s.Handler = nil

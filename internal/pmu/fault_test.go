@@ -25,7 +25,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero geometry", Config{}, ErrBadGeometry},
 		{"zero period", Config{Geom: mem.L1Default(), Period: Fixed(0)}, ErrBadPeriod},
 		{"zero uniform period", Config{Geom: mem.L1Default(), Period: Uniform(0)}, ErrBadPeriod},
-		{"negative max samples", Config{Geom: mem.L1Default(), MaxSamples: -1}, ErrBadMaxSamples},
 		{"negative burst", Config{Geom: mem.L1Default(), Burst: -2}, ErrBadBurst},
 	}
 	for _, tc := range cases {

@@ -3,7 +3,7 @@ package pmu
 import "repro/internal/obs"
 
 // ObserveInto merges this sampler's shard-local counters into reg: refs
-// streamed, L1-miss events raised, samples delivered and dropped, and the
+// streamed, L1-miss events raised, samples delivered, and the
 // private L1's hit/miss statistics (per-set distributions included).
 //
 // The sampler's hot path never touches the registry — counting stays in
@@ -14,7 +14,6 @@ func (s *Sampler) ObserveInto(reg *obs.Registry) {
 	reg.Counter("pmu.refs").Add(s.Refs)
 	reg.Counter("pmu.events").Add(s.Events)
 	reg.Counter("pmu.samples").Add(s.count)
-	reg.Counter("pmu.samples_dropped").Add(s.Dropped)
 	if s.cfg.Faults != nil {
 		reg.Counter("pmu.fault_dropped").Add(s.FaultDropped)
 		reg.Counter("pmu.fault_truncated").Add(s.FaultTruncated)

@@ -40,42 +40,6 @@ func TestObserveInto(t *testing.T) {
 	}
 }
 
-// TestSamplerDropsAtMaxSamples checks the bounded PEBS-buffer model: once
-// the buffer is full, further samples are dropped (and counted) instead of
-// delivered, deterministically.
-func TestSamplerDropsAtMaxSamples(t *testing.T) {
-	refs := strideRefs(50000)
-	unbounded := NewSampler(Config{Geom: mem.L1Default(), Period: Uniform(171), Seed: 9})
-	emitAll(unbounded, refs)
-	if unbounded.Dropped != 0 {
-		t.Fatalf("unbounded sampler dropped %d", unbounded.Dropped)
-	}
-	total := uint64(len(unbounded.Samples))
-	if total < 10 {
-		t.Fatalf("stream too quiet for the test: %d samples", total)
-	}
-
-	max := int(total / 2)
-	bounded := NewSampler(Config{Geom: mem.L1Default(), Period: Uniform(171), Seed: 9, MaxSamples: max})
-	emitAll(bounded, refs)
-	if len(bounded.Samples) != max {
-		t.Errorf("bounded buffer holds %d samples, want %d", len(bounded.Samples), max)
-	}
-	if got, want := bounded.Dropped, total-uint64(max); got != want {
-		t.Errorf("Dropped = %d, want %d", got, want)
-	}
-	// The retained prefix must be what the unbounded run delivered: dropping
-	// is lossy, not perturbing.
-	for i, s := range bounded.Samples {
-		if s != unbounded.Samples[i] {
-			t.Fatalf("sample %d diverges under MaxSamples: %+v vs %+v", i, s, unbounded.Samples[i])
-		}
-	}
-	if bounded.SampleCount() != uint64(max) {
-		t.Errorf("SampleCount = %d, want %d (dropped samples are not delivered)", bounded.SampleCount(), max)
-	}
-}
-
 // instrumentedStream builds the fully instrumented reference path every
 // workload run takes in production: a trace.Emitter (block staging, stream
 // statistics) feeding a Sampler (PMU model over the L1 simulator) through

@@ -147,8 +147,6 @@ var (
 	// ErrBadPeriod reports a period distribution whose mean is zero or
 	// negative: such a sampler would either never fire or spin.
 	ErrBadPeriod = errors.New("pmu: sampling period mean must be positive")
-	// ErrBadMaxSamples reports a negative sample-buffer bound.
-	ErrBadMaxSamples = errors.New("pmu: MaxSamples must be >= 0")
 	// ErrBadBurst reports a negative burst length.
 	ErrBadBurst = errors.New("pmu: Burst must be >= 0")
 )
@@ -165,14 +163,6 @@ type Config struct {
 	// sample distances are exact miss distances. 0 or 1 disables bursts.
 	Burst int
 
-	// MaxSamples bounds the sample buffer, modelling a finite PEBS
-	// buffer: samples raised after the buffer is full are counted in
-	// Dropped instead of delivered. 0 means unbounded. The bound applies
-	// only to buffered collection (Handler == nil); an online Handler
-	// consumes every sample. Dropping is a function of the deterministic
-	// event stream alone, so it does not perturb reproducibility.
-	MaxSamples int
-
 	// Faults, when non-nil, deterministically perturbs the sample stream:
 	// every drawn period passes through SkewPeriod and every raised
 	// sample through OnSample before delivery. Dropped/truncated/
@@ -182,7 +172,7 @@ type Config struct {
 }
 
 // Validate returns a typed error (ErrBadGeometry, ErrBadPeriod,
-// ErrBadMaxSamples, ErrBadBurst) for configurations that cannot produce a
+// ErrBadBurst) for configurations that cannot produce a
 // meaningful profile, instead of letting them run into empty or nonsense
 // sample streams. A nil Period is valid (NewSampler installs the default).
 func (c Config) Validate() error {
@@ -192,9 +182,6 @@ func (c Config) Validate() error {
 	}
 	if c.Period != nil && c.Period.Mean() <= 0 {
 		return fmt.Errorf("%w (got %s, mean %g)", ErrBadPeriod, c.Period, c.Period.Mean())
-	}
-	if c.MaxSamples < 0 {
-		return fmt.Errorf("%w (got %d)", ErrBadMaxSamples, c.MaxSamples)
 	}
 	if c.Burst < 0 {
 		return fmt.Errorf("%w (got %d)", ErrBadBurst, c.Burst)
@@ -216,10 +203,6 @@ type Sampler struct {
 	Events uint64
 	// Refs counts every reference observed.
 	Refs uint64
-	// Dropped counts samples raised but discarded because the buffer was
-	// full (see Config.MaxSamples). Always 0 when the buffer is unbounded
-	// or a Handler is installed.
-	Dropped uint64
 	// FaultDropped, FaultTruncated and FaultCorrupted count samples the
 	// configured FaultInjector dropped, discarded in buffer-truncation
 	// bursts, or delivered with a rewritten address. All 0 when
@@ -304,10 +287,6 @@ func (s *Sampler) deliver(r trace.Ref) {
 	if s.Handler != nil {
 		s.count++
 		s.Handler(sm)
-		return
-	}
-	if s.cfg.MaxSamples > 0 && len(s.Samples) >= s.cfg.MaxSamples {
-		s.Dropped++
 		return
 	}
 	s.count++

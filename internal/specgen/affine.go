@@ -27,9 +27,8 @@ import (
 // 0 … Trip-1. The surface loop variable relates to it affinely
 // (v = lo + step·τ); affine expressions carry τ terms directly.
 type ivar struct {
-	id    int    // creation order, unique per extraction
-	name  string // surface variable name, for diagnostics
-	depth int    // loop-nest depth at creation (outermost = 0)
+	id   int    // creation order, unique per extraction
+	name string // surface variable name, for diagnostics
 	// trip is the rectangularized iteration count: the maximum of the
 	// exact count over the enclosing iteration domain. Always ≥ 1 for a
 	// loop whose body runs.

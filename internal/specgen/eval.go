@@ -383,9 +383,7 @@ func (in *interp) assignTo(l ast.Expr, v value, env *scope) error {
 		case *vMap:
 			if k, ok := idx.(vStr); ok {
 				r.entries[string(k)] = v
-				return nil
 			}
-			r.dirty = true
 			return nil
 		}
 		return nil

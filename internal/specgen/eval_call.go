@@ -132,7 +132,7 @@ func (in *interp) callBuiltin(name string, call *ast.CallExpr, env *scope) (valu
 		}
 		return nil, fmt.Errorf("specgen: workload panic reached during extraction: %s", msg)
 	case "copy", "delete", "print", "println":
-		return vOpaque{kind: "void"}, nil
+		return vOpaque{}, nil
 	case "complex", "real", "imag":
 		return unknown("complex arithmetic"), nil
 	case "min", "max":
@@ -224,7 +224,6 @@ func (in *interp) callClosure(cl *vClosure, args []value) (value, error) {
 				iv := &ivar{
 					id:       in.nextIV,
 					name:     paramName(p) + "'",
-					depth:    len(in.ivStack),
 					trip:     int(trip),
 					tmaxExpr: aConst(trip - 1),
 					fresh:    true,
@@ -271,7 +270,7 @@ func (in *interp) callClosure(cl *vClosure, args []value) (value, error) {
 				}
 				return out, nil
 			}
-			return vOpaque{kind: "void"}, nil
+			return vOpaque{}, nil
 		case 1:
 			return cs.vals[0], nil
 		default:
@@ -281,7 +280,7 @@ func (in *interp) callClosure(cl *vClosure, args []value) (value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vOpaque{kind: "void"}, nil
+	return vOpaque{}, nil
 }
 
 func paramName(p *ast.Ident) string {
@@ -316,7 +315,7 @@ func (in *interp) modelCall(path, name string, args []value) (value, error) {
 		if name == "Sprintf" {
 			return sprintfModel(args), nil
 		}
-		return vOpaque{kind: "void"}, nil
+		return vOpaque{}, nil
 	case pathTrace, pathStaticconf:
 		// Only their types are used by the kernels; any function call is
 		// outside the modeled surface.
@@ -390,8 +389,8 @@ func (in *interp) allocCall(name string, args []value) (value, error) {
 		if rows <= 0 || cols <= 0 || elem == 0 {
 			return nil, fmt.Errorf("specgen: invalid matrix %s: %dx%d elem=%d", str(1), rows, cols, elem)
 		}
-		m := &vMatrix2D{rows: rows, cols: cols, elem: elem, rowPad: rowPad}
-		b, err := ar.alloc(str(1), uint64(rows*m.rowStride()), 64)
+		m := &vMatrix2D{elem: elem, rowStride: cols*elem + rowPad}
+		b, err := ar.alloc(str(1), uint64(rows*m.rowStride), 64)
 		if err != nil {
 			return nil, err
 		}
@@ -412,8 +411,9 @@ func (in *interp) allocCall(name string, args []value) (value, error) {
 		if ni <= 0 || nj <= 0 || nk <= 0 || elem == 0 {
 			return nil, fmt.Errorf("specgen: invalid 3d matrix %s: %dx%dx%d elem=%d", str(1), ni, nj, nk, elem)
 		}
-		m := &vMatrix3D{ni: ni, nj: nj, nk: nk, elem: elem, rowPad: rowPad, planePad: planePad}
-		b, err := ar.alloc(str(1), uint64(ni*m.planeStride()), 64)
+		rowStride := nk*elem + rowPad
+		m := &vMatrix3D{elem: elem, rowStride: rowStride, planeStride: nj*rowStride + planePad}
+		b, err := ar.alloc(str(1), uint64(ni*m.planeStride), 64)
 		if err != nil {
 			return nil, err
 		}
@@ -430,7 +430,7 @@ func (in *interp) allocCall(name string, args []value) (value, error) {
 		if n <= 0 || elem == 0 {
 			return nil, fmt.Errorf("specgen: invalid vector %s: n=%d elem=%d", str(1), n, elem)
 		}
-		v := &vVector{n: n, elem: elem}
+		v := &vVector{elem: elem}
 		b, err := ar.alloc(str(1), uint64(n*elem), 64)
 		if err != nil {
 			return nil, err
@@ -461,7 +461,7 @@ func (in *interp) modelMethod(recv value, name string, args []value) (value, err
 		case "Gap":
 			if n, ok := asConcrete(args[0]); ok && len(args) == 1 {
 				r.next += uint64(n)
-				return vOpaque{kind: "void"}, nil
+				return vOpaque{}, nil
 			}
 			return nil, fmt.Errorf("specgen: arena Gap with non-concrete size")
 		case "Alloc":
@@ -498,7 +498,7 @@ func (in *interp) modelMethod(recv value, name string, args []value) (value, err
 			}
 			return r.at(i, j), nil
 		case "RowStride":
-			return vInt(r.rowStride()), nil
+			return vInt(r.rowStride), nil
 		}
 	case *vMatrix3D:
 		switch name {
@@ -518,9 +518,9 @@ func (in *interp) modelMethod(recv value, name string, args []value) (value, err
 			}
 			return r.at(i, j, k), nil
 		case "RowStride":
-			return vInt(r.rowStride()), nil
+			return vInt(r.rowStride), nil
 		case "PlaneStride":
-			return vInt(r.planeStride()), nil
+			return vInt(r.planeStride), nil
 		}
 	case *vVector:
 		if name == "At" {
@@ -541,16 +541,16 @@ func (in *interp) modelMethod(recv value, name string, args []value) (value, err
 		}
 		switch name {
 		case "Func":
-			return vOpaque{kind: "void"}, nil
+			return vOpaque{}, nil
 		case "Loop":
 			if f, l, ok := loc(); ok {
 				r.loop(f, l)
-				return vOpaque{kind: "loop-ip"}, nil
+				return vOpaque{}, nil
 			}
 			return nil, fmt.Errorf("specgen: builder Loop with non-concrete location")
 		case "EndLoop":
 			r.endLoop()
-			return vOpaque{kind: "void"}, nil
+			return vOpaque{}, nil
 		case "Load", "Op", "Call":
 			if f, l, ok := loc(); ok {
 				return r.emit(f, l, false), nil
@@ -562,7 +562,7 @@ func (in *interp) modelMethod(recv value, name string, args []value) (value, err
 			}
 			return nil, fmt.Errorf("specgen: builder Store with non-concrete location")
 		case "Finish":
-			return vOpaque{kind: "binary"}, nil
+			return vOpaque{}, nil
 		}
 	case vRand:
 		return unknown("random draw from stats.Rand." + name), nil
@@ -570,12 +570,12 @@ func (in *interp) modelMethod(recv value, name string, args []value) (value, err
 		if name == "Ref" && len(args) == 1 {
 			if ref, ok := args[0].(*vStruct); ok {
 				in.sinkRef(ref)
-				return vOpaque{kind: "void"}, nil
+				return vOpaque{}, nil
 			}
 			in.note("sink.Ref with non-literal argument")
-			return vOpaque{kind: "void"}, nil
+			return vOpaque{}, nil
 		}
-		return vOpaque{kind: "void"}, nil
+		return vOpaque{}, nil
 	}
 	return unknown(fmt.Sprintf("method %s on %T", name, recv)), nil
 }

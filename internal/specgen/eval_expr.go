@@ -31,7 +31,6 @@ type (
 	// vMap models string-keyed maps (the workload registry).
 	vMap struct {
 		entries map[string]value
-		dirty   bool
 	}
 )
 
@@ -124,7 +123,7 @@ func (in *interp) evalIdent(id *ast.Ident, env *scope) value {
 	case "_":
 		return unknown("blank identifier")
 	case "nil":
-		return vOpaque{kind: "nil"}
+		return vOpaque{}
 	}
 	if c, ok := env.lookup(id.Name); ok {
 		return c.v
@@ -345,14 +344,8 @@ func (in *interp) evalSelector(x *ast.SelectorExpr, env *scope) (value, error) {
 			return vInt(int64(r.block.size)), nil
 		case "Name":
 			return vStr(r.block.name), nil
-		case "Rows":
-			return vInt(r.rows), nil
-		case "Cols":
-			return vInt(r.cols), nil
 		case "Elem":
 			return vInt(r.elem), nil
-		case "RowPad":
-			return vInt(r.rowPad), nil
 		}
 		return vBoundMethod{recv: recv, name: name}, nil
 	case *vMatrix3D:
@@ -363,18 +356,8 @@ func (in *interp) evalSelector(x *ast.SelectorExpr, env *scope) (value, error) {
 			return vInt(int64(r.block.size)), nil
 		case "Name":
 			return vStr(r.block.name), nil
-		case "Ni":
-			return vInt(r.ni), nil
-		case "Nj":
-			return vInt(r.nj), nil
-		case "Nk":
-			return vInt(r.nk), nil
 		case "Elem":
 			return vInt(r.elem), nil
-		case "RowPad":
-			return vInt(r.rowPad), nil
-		case "PlanePad":
-			return vInt(r.planePad), nil
 		}
 		return vBoundMethod{recv: recv, name: name}, nil
 	case *vVector:
@@ -385,8 +368,6 @@ func (in *interp) evalSelector(x *ast.SelectorExpr, env *scope) (value, error) {
 			return vInt(int64(r.block.size)), nil
 		case "Name":
 			return vStr(r.block.name), nil
-		case "N":
-			return vInt(r.n), nil
 		case "Elem":
 			return vInt(r.elem), nil
 		}
@@ -513,8 +494,6 @@ func (in *interp) evalComposite(x *ast.CompositeLit, env *scope) (value, error) 
 			}
 			if ks, ok := k.(vStr); ok {
 				m.entries[string(ks)] = v
-			} else {
-				m.dirty = true
 			}
 		}
 		return m, nil

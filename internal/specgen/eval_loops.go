@@ -301,7 +301,6 @@ func (in *interp) execForAffine(s *ast.ForStmt, env *scope, targets []postTarget
 	iv := &ivar{
 		id:       in.nextIV,
 		name:     targets[0].name,
-		depth:    len(in.ivStack),
 		trip:     int(trip),
 		tmaxExpr: tmax,
 	}
@@ -479,7 +478,7 @@ func (in *interp) execRange(s *ast.RangeStmt, env *scope) error {
 		if x.length != nil {
 			tmax = aSub(x.length, aConst(1))
 		}
-		iv := &ivar{id: in.nextIV, name: "range", depth: len(in.ivStack), trip: int(hi), tmaxExpr: tmax}
+		iv := &ivar{id: in.nextIV, name: "range", trip: int(hi), tmaxExpr: tmax}
 		if keyName != "" {
 			iv.name = keyName
 		}

@@ -25,7 +25,6 @@ type LintKernel struct {
 // the parsed package (kept for position lookup and source rewrites) and
 // its kernels.
 type LintSet struct {
-	Dir     string
 	Pkg     *Package
 	Kernels []LintKernel
 	// Skipped maps package-level functions that were not linted to the
@@ -43,7 +42,7 @@ func LintLoad(dir string, g mem.Geometry) (*LintSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	set := &LintSet{Dir: dir, Pkg: p}
+	set := &LintSet{Pkg: p}
 	set.Kernels, set.Skipped = p.LintKernels(g)
 	return set, nil
 }

@@ -130,23 +130,45 @@ func (p *Package) Funcs() []string {
 	return out
 }
 
-// WorkloadsDir locates internal/workloads relative to the enclosing module
-// root, so extraction works from any working directory inside the repo.
+// workloadsModule is the module whose internal/workloads WorkloadsDir
+// finds.
+const workloadsModule = "repro"
+
+// WorkloadsDir locates internal/workloads under the nearest enclosing
+// root of module workloadsModule, so extraction works from any working
+// directory inside the checkout, the nested perfbench module included. A
+// go.mod of another module on the way up is skipped: its
+// internal/workloads is not the one the extractor models.
 func WorkloadsDir() (string, error) {
-	dir, err := os.Getwd()
+	start, err := os.Getwd()
 	if err != nil {
 		return "", err
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+	for dir := start; ; {
+		if modulePath(filepath.Join(dir, "go.mod")) == workloadsModule {
 			return filepath.Join(dir, "internal", "workloads"), nil
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("specgen: no go.mod above %s", dir)
+			return "", fmt.Errorf("specgen: no go.mod of module %s above %s", workloadsModule, start)
 		}
 		dir = parent
 	}
+}
+
+// modulePath returns the module path the go.mod file at path declares,
+// or "" when there is no such file or it declares none.
+func modulePath(path string) string {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "module" {
+			return strings.Trim(f[1], `"`)
+		}
+	}
+	return ""
 }
 
 // newInterp builds a fresh environment: package functions as closures,
@@ -248,7 +270,6 @@ type Extraction struct {
 
 // CaseStudyExtraction pairs the extractions of a case study's variants.
 type CaseStudyExtraction struct {
-	Name      string
 	Original  *Extraction
 	Optimized *Extraction
 }
@@ -272,11 +293,7 @@ func (p *Package) ExtractCaseStudy(g mem.Geometry, ctor string, args ...int) (*C
 	if err != nil {
 		return nil, err
 	}
-	name := ctor
-	if s, ok := cs.fields["Name"].(vStr); ok {
-		name = string(s)
-	}
-	out := &CaseStudyExtraction{Name: name}
+	out := &CaseStudyExtraction{}
 	for _, part := range []struct {
 		field string
 		dst   **Extraction

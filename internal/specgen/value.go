@@ -170,41 +170,33 @@ func (a *vArena) find(addr uint64) (vBlock, bool) {
 
 // vMatrix2D mirrors alloc.Matrix2D: At(i,j) = start + i·rowStride + j·elem.
 type vMatrix2D struct {
-	block      vBlock
-	rows, cols int64
-	elem       int64
-	rowPad     int64
+	block     vBlock
+	elem      int64
+	rowStride int64
 }
-
-func (m *vMatrix2D) rowStride() int64 { return m.cols*m.elem + m.rowPad }
 
 func (m *vMatrix2D) at(i, j *affine) *affine {
 	return aAdd(aConst(int64(m.block.start)),
-		aAdd(aScale(i, m.rowStride()), aScale(j, m.elem)))
+		aAdd(aScale(i, m.rowStride), aScale(j, m.elem)))
 }
 
 // vMatrix3D mirrors alloc.Matrix3D.
 type vMatrix3D struct {
-	block      vBlock
-	ni, nj, nk int64
-	elem       int64
-	rowPad     int64
-	planePad   int64
+	block       vBlock
+	elem        int64
+	rowStride   int64
+	planeStride int64
 }
-
-func (m *vMatrix3D) rowStride() int64   { return m.nk*m.elem + m.rowPad }
-func (m *vMatrix3D) planeStride() int64 { return m.nj*m.rowStride() + m.planePad }
 
 func (m *vMatrix3D) at(i, j, k *affine) *affine {
 	return aAdd(aConst(int64(m.block.start)),
-		aAdd(aScale(i, m.planeStride()),
-			aAdd(aScale(j, m.rowStride()), aScale(k, m.elem))))
+		aAdd(aScale(i, m.planeStride),
+			aAdd(aScale(j, m.rowStride), aScale(k, m.elem))))
 }
 
 // vVector mirrors alloc.Vector.
 type vVector struct {
 	block vBlock
-	n     int64
 	elem  int64
 }
 
@@ -219,7 +211,6 @@ func (v *vVector) at(i *affine) *affine {
 type vBuilder struct {
 	nextIP    uint64
 	loopStack []string // "file:line"
-	ips       []*vIP
 }
 
 type vIP struct {
@@ -238,7 +229,6 @@ func (b *vBuilder) emit(file string, line int64, write bool) *vIP {
 	if n := len(b.loopStack); n > 0 {
 		ip.loop = b.loopStack[n-1]
 	}
-	b.ips = append(b.ips, ip)
 	return ip
 }
 
@@ -263,4 +253,4 @@ type vSink struct{}
 
 // vBinary and vProgramPart stand in for objfile.Binary and other opaque
 // results that flow through the constructors but are never inspected.
-type vOpaque struct{ kind string }
+type vOpaque struct{}

@@ -225,7 +225,7 @@ func himenoProgram(ni, nj, nk, iters int, rowPad, planePad uint64) *Program {
 
 // himenoValues carries the solver's element storage.
 type himenoValues struct {
-	ni, nj, nk     int
+	nj, nk         int
 	p, wrk1, wrk2  []float64
 	bnd            []float64
 	a0, a1, a2, a3 []float64
@@ -235,7 +235,7 @@ type himenoValues struct {
 
 func newHimenoValues(ni, nj, nk int) *himenoValues {
 	n := ni * nj * nk
-	v := &himenoValues{ni: ni, nj: nj, nk: nk}
+	v := &himenoValues{nj: nj, nk: nk}
 	fill := func(val float64) []float64 {
 		s := make([]float64, n)
 		for i := range s {
